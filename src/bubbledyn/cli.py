@@ -14,13 +14,18 @@ import sys
 from pathlib import Path
 
 from . import combined, data_io, ethanol, speculators, supply_demand, timeseries
-from .errors import BubbledynError, DataError, DomainError, FitError
+from .errors import BubbledynError, DataError, FitError
 from .timeseries import Frequency, Window
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
+
+#: Exit code of each caught exception type; the first match wins.  A
+#: ValueError from the library means the arguments were out of range.
+_EXIT_CODES = ((FitError, EXIT_FIT), (BubbledynError, EXIT_DATA),
+               (ValueError, EXIT_USAGE))
 
 #: Environment variable naming the default directory for data files.
 DATA_DIR_ENV = "BUBBLEDYN_DATA_DIR"
@@ -91,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bubbledyn",
         description="Commodity-price dynamics: supply/demand, ethanol and "
                     "speculator models.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any stochastic start grid (the default "
-                             "grids are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate-sd", help="simulate the equilibrium path "
@@ -224,12 +226,7 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "correlate":
         rho = timeseries.pearson_correlation(
             _load(args.a, args.frequency), _load(args.b, args.frequency))
-        payload = {"rho": rho}
-        if args.output is None:
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+        _emit({"rho": rho}, "json", args.output)
 
     elif args.command == "lagscan":
         scan = timeseries.lagged_cross_correlation(
@@ -275,20 +272,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (DataError, DomainError) as exc:
-        json.dump({"error": str(exc), "type": type(exc).__name__},
-                  sys.stderr, indent=2)
+    except (BubbledynError, ValueError) as exc:
+        code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
         sys.stderr.write("\n")
-        return EXIT_DATA
-    except FitError as exc:
-        json.dump({"error": str(exc), "type": "FitError"}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_FIT
-    except BubbledynError as exc:
-        json.dump({"error": str(exc), "type": type(exc).__name__},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_DATA
+        return code
 
 
 if __name__ == "__main__":

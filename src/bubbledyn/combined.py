@@ -9,7 +9,6 @@ with the speculator and coupling terms switched on at a single month index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -207,14 +206,16 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     diffs = np.array([m[1:steps] - m[:steps - 1] for m in arrays]) \
         if n_markets else np.empty((0, steps - 1))
 
-    def make_objective(switch: int):
+    lo, hi = np.array(bounds).T
+    # the fallback start when the one-step regression is singular
+    fallback = np.array([0.2, 1.3] + [-1.0] * n_markets)
+
+    def make_residuals(switch: int):
         gate = (np.arange(1, steps) >= switch).astype(float)
         gated_diffs = diffs * gate
 
-        def objective(v: np.ndarray) -> float:
+        def residuals(v: np.ndarray) -> np.ndarray:
             k_sd, k_sp = float(v[0]), float(v[1])
-            if k_sd <= 0 or k_sp < 0:
-                return fitting.PENALTY
             const = quad * k_sd + lag
             if n_markets:
                 const = const + v[2:] @ gated_diffs
@@ -223,36 +224,21 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
             c_list = const.tolist()
             a_list = coef1.tolist()
             b_list = coef2.tolist()
+            path = []
             prev, cur = p0, p1
-            sse = (fv[0] - p0) ** 2 + (fv[1] - p1) ** 2
             for i in range(steps - 1):
                 prev, cur = cur, c_list[i] + a_list[i] * cur + b_list[i] * prev
-                diff = fv[i + 2] - cur
-                sse += diff * diff
-            if not np.isfinite(sse):
-                return fitting.PENALTY
-            return float(sse)
-        return objective
+                path.append(cur)
+            return fv[2:] - np.array(path)
+        return residuals
 
     best = None
     for switch in switch_candidates:
         if switch < 1:
             raise ValueError("switch candidates must be >= 1")
-        objective = make_objective(switch)
-        starts = []
         seed = _linear_seed(fv, arrays, trend, switch)
-        if seed is not None:
-            clipped = np.clip(seed, [b[0] for b in bounds], [b[1] for b in bounds])
-            starts.append(tuple(clipped))
-        grid_couplings = tuple(seed[2:]) if seed is not None else (-1.0,) * n_markets
-        grid = [(k_sd, k_sp) + grid_couplings
-                for k_sd, k_sp in itertools.product((0.05, 0.2, 0.45),
-                                                    (0.6, 1.3, 1.9))]
-        # polish only the most promising grid points; the linear seed is
-        # usually already near the optimum
-        grid.sort(key=lambda s: objective(np.asarray(s)))
-        starts.extend(grid[:3])
-        report = fitting.minimize(objective, starts, bounds, maxfev=5000)
+        start = np.clip(fallback if seed is None else seed, lo, hi)
+        report = fitting.minimize(make_residuals(switch), [start], bounds)
         if best is None or report.objective_value < best[1].objective_value:
             best = (switch, report)
 

@@ -147,6 +147,8 @@ def _to_jsonable(obj):
                 "omitted": list(obj.omitted)}
     if hasattr(obj, "to_dict"):
         return obj.to_dict()
+    if isinstance(obj, dict):
+        return obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -172,7 +174,7 @@ def _write(obj, fmt: str, fh) -> None:
 
 
 def emit(obj, fmt: str, destination) -> None:
-    """Write a series, phase grid, lag scan, or report to CSV or JSON.
+    """Write a series, phase grid, lag scan, report or dict to CSV or JSON.
 
     ``destination`` may be a path or an open text stream.
     """

@@ -1,32 +1,23 @@
-"""Shared derivative-free optimization and regression utilities.
+"""Shared bounded least-squares fitting and regression utilities.
 
-The models fit smooth but nonconvex objectives in 3-5 dimensions; a
-multi-start simplex descent is enough, with box bounds enforced through an
-additive quadratic penalty so the inner method stays unconstrained.
+Both fitted models minimise a sum of squared residuals over a box in 3-5
+dimensions.  Each start runs one trust-region-reflective solve
+(``scipy.optimize.least_squares`` with ``method="trf"``; Branch, Coleman &
+Li 1999), which keeps every iterate inside the box, so no bound penalty is
+needed.  Points where the model is undefined return non-finite residuals,
+on which the solver shrinks its step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize import least_squares
 
 from .errors import DegenerateInputError, FitError
 from .timeseries import TimeSeries, align
-
-#: Sentinel objective value marking an infeasible evaluation.
-PENALTY = 1e15
-
-#: Improvement threshold below which a start is considered converged.
-DEFAULT_FTOL = 1e-10
-
-#: Simplex size threshold, relative to the bounds span.
-DEFAULT_XTOL = 1e-8
-
-#: Evaluation cap per start.
-DEFAULT_MAXFEV = 20_000
 
 
 @dataclass(frozen=True)
@@ -40,79 +31,55 @@ class FitReport:
     restarts_used: int
 
 
-def _penalized(objective: Callable[[np.ndarray], float],
-               bounds: Sequence[tuple[float, float]],
-               scale: float) -> Callable[[np.ndarray], float]:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    span = hi - lo
-
-    def wrapped(x: np.ndarray) -> float:
-        excess = np.maximum(0.0, lo - x) + np.maximum(0.0, x - hi)
-        penalty = scale * float(np.sum((excess / span) ** 2))
-        value = objective(np.asarray(x, dtype=float))
-        if not np.isfinite(value):
-            return PENALTY
-        return value + penalty
-
-    return wrapped
-
-
-def minimize(objective: Callable[[np.ndarray], float],
+def minimize(residuals: Callable[[np.ndarray], np.ndarray],
              starts: Sequence[Sequence[float]],
-             bounds: Sequence[tuple[float, float]],
-             ftol: float = DEFAULT_FTOL,
-             xtol: float = DEFAULT_XTOL,
-             maxfev: int = DEFAULT_MAXFEV,
-             penalty_scale: Optional[float] = None) -> FitReport:
-    """Simplex descent from every start; returns the best terminal point.
+             bounds: Sequence[tuple[float, float]]) -> FitReport:
+    """Bounded least squares from every start; returns the best terminal point.
 
+    ``objective_value`` is the sum of squared residuals there, ``converged``
+    the winning start's success flag, and ``evaluations`` every call of
+    ``residuals``, finite-difference Jacobians and start checks included.
     Deterministic given identical inputs.  Raises :class:`FitError` when no
-    start escapes the penalty sentinel.
+    start has finite residuals, or every solve met a non-finite Jacobian.
     """
     if not starts:
         raise FitError("minimize requires at least one start")
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    for lo, hi in bounds:
-        if hi <= lo:
-            raise ValueError("bounds must have lo < hi")
+    lo, hi = np.array(bounds, dtype=float).T
+    if np.any(hi <= lo):
+        raise ValueError("bounds must have lo < hi")
+    starts = [np.asarray(s, dtype=float) for s in starts]
     for s in starts:
-        if len(s) != len(bounds):
+        if s.shape != lo.shape:
             raise ValueError("start dimensionality does not match bounds")
 
-    if penalty_scale is None:
-        # Must dominate the in-box objective range; estimate from the starts.
-        probes = [objective(np.asarray(s, dtype=float)) for s in starts]
-        finite = [p for p in probes if np.isfinite(p) and p < PENALTY]
-        penalty_scale = 1e6 * (max(finite) + 1.0) if finite else 1e6
+    evaluations = 0
 
-    wrapped = _penalized(objective, bounds, penalty_scale)
-    span = max(hi - lo for lo, hi in bounds)
+    def counted(x: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
+        return np.asarray(residuals(x), dtype=float)
 
-    best_x = None
-    best_f = np.inf
-    total_evals = 0
-    converged = False
+    best = None
     for start in starts:
-        res = _scipy_minimize(
-            wrapped, np.asarray(start, dtype=float), method="Nelder-Mead",
-            options={"fatol": ftol, "xatol": xtol * span,
-                     "maxfev": maxfev, "maxiter": maxfev})
-        total_evals += int(res.nfev)
-        if res.fun < best_f:
-            best_f = float(res.fun)
-            best_x = np.asarray(res.x, dtype=float)
-            converged = bool(res.success) or converged
-    if best_x is None or best_f >= PENALTY:
-        raise FitError("all starts remained in the infeasible region",
-                       best_so_far=None if best_x is None else tuple(best_x))
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    best_x = np.clip(best_x, lo, hi)
-    return FitReport(parameter_vector=tuple(float(v) for v in best_x),
-                     objective_value=best_f,
-                     evaluations=total_evals,
-                     converged=converged,
+        if not np.all(np.isfinite(counted(start))):
+            continue
+        try:
+            res = least_squares(counted, start, bounds=(lo, hi), method="trf")
+        except ValueError as exc:
+            # a finite-difference step into a non-finite region ends the start
+            if "infs or NaNs" not in str(exc):
+                raise
+            continue
+        sse = float(res.fun @ res.fun)
+        if best is None or sse < best[1]:
+            best = (res, sse)
+    if best is None:
+        raise FitError("no start has finite residuals and a finite Jacobian")
+    res, sse = best
+    return FitReport(parameter_vector=tuple(float(v) for v in res.x),
+                     objective_value=sse,
+                     evaluations=evaluations,
+                     converged=bool(res.success),
                      restarts_used=len(starts))
 
 

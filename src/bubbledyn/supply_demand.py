@@ -118,17 +118,13 @@ def simulate_equilibrium_path(surplus: TimeSeries, params0: SupplyDemandParams) 
         intercept_trace=tuple(trace))
 
 
-def _determined_params(lam: float, beta_d: float, alpha_s0: float,
+def _determined_params(lam: float, beta_d: float, beta_s: float,
                        p0_raw: float, q0_raw: float) -> tuple[float, float]:
-    """alpha_d(0) and beta_s pinned so the t=0 equilibrium reproduces the
-    first data point exactly in transformed space."""
+    """alpha_d(0) and alpha_s(0) pinned so the t=0 equilibrium reproduces
+    the first data point exactly in transformed space."""
     p0 = box_cox(p0_raw, lam)
     q0 = box_cox(q0_raw, lam)
-    if p0 == 0:
-        raise DegenerateInputError("transformed initial price is zero")
-    alpha_d0 = q0 + beta_d * p0
-    beta_s = (q0 - alpha_s0) / p0
-    return alpha_d0, beta_s
+    return q0 + beta_d * p0, q0 - beta_s * p0
 
 
 @dataclass(frozen=True)
@@ -170,10 +166,10 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
                       surplus: TimeSeries) -> SupplyDemandFit:
     """Three-parameter joint fit of equilibrium price and consumption.
 
-    Free parameters: (lambda, beta_d, alpha_s(0)).  alpha_d(0) and beta_s
-    are determined from the first data point so P_e(0) and Q_e(0) match it
-    exactly.  The objective is the variance-normalized SSE of price plus
-    consumption, both in original units.
+    Free parameters: (lambda, beta_d, beta_s) on a box.  alpha_d(0) and
+    alpha_s(0) are determined from the first data point so P_e(0) and Q_e(0)
+    match it exactly.  The objective is the variance-normalized SSE of price
+    plus consumption, both in original units.
     """
     pv, qv, sv, start = _align3(price, consumption, surplus)
     if len(pv) < 5:
@@ -185,40 +181,29 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
     if var_p == 0 or var_q == 0:
         raise DegenerateInputError("constant observed series")
     p0_raw, q0_raw = float(pv[0]), float(qv[0])
+    scale_p = 1.0 / np.sqrt(var_p * len(pv))
+    scale_q = 1.0 / np.sqrt(var_q * len(qv))
 
-    def objective(v: np.ndarray) -> float:
-        lam, beta_d, alpha_s0 = v
-        if beta_d < 0:
-            return fitting.PENALTY
+    def residuals(v: np.ndarray) -> np.ndarray:
+        lam, beta_d, beta_s = v
+        alpha_d0, alpha_s0 = _determined_params(lam, beta_d, beta_s,
+                                                p0_raw, q0_raw)
+        p_tr, q_tr, _ = _simulate_transformed(sv, lam, alpha_d0, beta_d,
+                                              alpha_s0, beta_s)
         try:
-            alpha_d0, beta_s = _determined_params(lam, beta_d, alpha_s0,
-                                                  p0_raw, q0_raw)
-            if beta_s < 0 or beta_d + beta_s <= 0:
-                return fitting.PENALTY
-            p_tr, q_tr, _ = _simulate_transformed(sv, lam, alpha_d0, beta_d,
-                                                  alpha_s0, beta_s)
             p_mod = np.array([inverse_box_cox(p, lam) for p in p_tr])
             q_mod = np.array([inverse_box_cox(q, lam) for q in q_tr])
-        except (DomainError, DegenerateInputError, OverflowError):
-            return fitting.PENALTY
-        sse_p = float(np.sum((pv - p_mod) ** 2))
-        sse_q = float(np.sum((qv - q_mod) ** 2))
-        return sse_p / var_p / len(pv) + sse_q / var_q / len(qv)
+        except (DomainError, OverflowError):
+            return np.full(len(pv) + len(qv), np.nan)
+        return np.concatenate([(pv - p_mod) * scale_p, (qv - q_mod) * scale_q])
 
-    q_ref = q0_raw - 1.0  # transformed consumption scale at lambda = 1
-    bounds = [(0.5, 1.2), (0.1, 5.0), (0.1 * q_ref, 2.0 * q_ref)]
-    starts = [
-        (lam, bd, a)
-        for lam, bd, a in itertools.product(
-            (0.6, 0.9, 1.1),
-            (0.3, 1.0, 3.0),
-            (0.3 * q_ref, 0.8 * q_ref))
-    ]
-    starts += [(1.0, 0.5, 0.5 * q_ref), (0.8, 2.0, 1.2 * q_ref)]
-    report = fitting.minimize(objective, starts, bounds)
+    bounds = [(0.5, 1.2), (0.1, 5.0), (0.0, 5.0)]
+    starts = list(itertools.product((0.6, 0.9, 1.1), (0.3, 1.0, 3.0),
+                                    (0.3, 1.5)))
+    report = fitting.minimize(residuals, starts, bounds)
 
-    lam, beta_d, alpha_s0 = report.parameter_vector
-    alpha_d0, beta_s = _determined_params(lam, beta_d, alpha_s0, p0_raw, q0_raw)
+    lam, beta_d, beta_s = report.parameter_vector
+    alpha_d0, alpha_s0 = _determined_params(lam, beta_d, beta_s, p0_raw, q0_raw)
     params = SupplyDemandParams(lam, alpha_d0, beta_d, alpha_s0, beta_s)
     surplus_common = TimeSeries(start, surplus.frequency, tuple(sv), surplus.label)
     path = simulate_equilibrium_path(surplus_common, params)

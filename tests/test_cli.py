@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bubbledyn.cli import (EXIT_DATA, EXIT_OK, build_parser,
+from bubbledyn import pearson_correlation
+from bubbledyn.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                            default_bubble_windows, main,
                            switch_candidates_for_year)
 
@@ -104,6 +105,20 @@ class TestCorrelateAndLagscan:
         assert code == EXIT_OK
         assert json.loads(out)["rho"] == pytest.approx(1.0)
 
+    def test_correlate_output_bytes(self, capsys, tmp_path):
+        a, b = [1.0, 2.0, 4.0, 3.0], [2.0, 3.0, 7.0, 8.0]
+        write_series_csv(tmp_path / "a.csv", a)
+        write_series_csv(tmp_path / "b.csv", b)
+        argv = ("correlate", "--a", str(tmp_path / "a.csv"),
+                "--b", str(tmp_path / "b.csv"), "--frequency", "monthly")
+        rho = pearson_correlation(monthly(a), monthly(b))
+        expected = f'{{\n  "rho": {rho!r}\n}}\n'
+        _, out, _ = run(capsys, *argv)
+        assert out == expected
+        dest = tmp_path / "rho.json"
+        run(capsys, *argv, "-o", str(dest))
+        assert dest.read_bytes() == expected.encode()
+
     def test_lagscan_csv(self, capsys, tmp_path):
         rng = np.random.default_rng(6)
         base = rng.normal(size=30)
@@ -115,6 +130,24 @@ class TestCorrelateAndLagscan:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         rhos = {int(lag): float(rho) for lag, rho in rows}
         assert rhos[3] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv, code", [
+        ("simulate-spec --ksd -1 --kc 1 --p0 1 --steps 5", EXIT_USAGE),
+        ("phase --ksd 0:5:1 --ksp 0:2:5", EXIT_USAGE),
+        ("simulate-spec --ksd 0.1 --ksp 1.9 --kc 1 --p0 1 --p1 2 --steps 10000",
+         EXIT_USAGE),  # overflows to non-finite prices
+        ("correlate --a missing.csv --b missing.csv", EXIT_DATA),
+    ])
+    def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
+                                    argv, code):
+        monkeypatch.chdir(tmp_path)
+        got, out, err = run(capsys, *argv.split())
+        assert got == code
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert set(json.loads(err)) == {"error", "type"}
 
 
 class TestDataDirEnvVar:

@@ -116,9 +116,9 @@ class TestInitializationIdentity:
             beta_d = rng.uniform(0.2, 4.0)
             p0_raw = rng.uniform(10.0, 200.0)
             q0_raw = rng.uniform(50.0, 500.0)
-            alpha_s0 = rng.uniform(0.1, 0.9) * box_cox(q0_raw, lam)
-            alpha_d0, beta_s = _determined_params(lam, beta_d, alpha_s0,
-                                                  p0_raw, q0_raw)
+            beta_s = rng.uniform(0.0, 5.0)
+            alpha_d0, alpha_s0 = _determined_params(lam, beta_d, beta_s,
+                                                    p0_raw, q0_raw)
             denom = beta_d + beta_s
             p_e = (alpha_d0 - alpha_s0) / denom
             q_e = (alpha_d0 * beta_s + alpha_s0 * beta_d) / denom
