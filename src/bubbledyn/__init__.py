@@ -2,8 +2,8 @@
 shocks, trend-following speculators, and their combined fit to food-price
 data."""
 
-from .combined import (CombinedFit, CombinedParams, fit_background_trend,
-                       fit_combined, kc_of_t, simulate_combined)
+from .combined import (CombinedFit, CombinedParams, fit_combined, kc_of_t,
+                       simulate_combined)
 from .data_io import SeriesSpec, Transform, derive_surplus, emit, load_series
 from .errors import (AlignmentError, BubbledynError, DataError,
                      DegenerateInputError, DomainError, FitError)

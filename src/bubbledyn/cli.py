@@ -218,7 +218,7 @@ def _run(args: argparse.Namespace) -> int:
             windows = args.exclude_window
         else:
             windows = default_bubble_windows(food)
-        trend = combined.fit_background_trend(food, windows)
+        trend = ethanol.quadratic_fit(food, windows)
         candidates = switch_candidates_for_year(food, args.switch_year)
         fit = combined.fit_combined(food, markets, trend, candidates)
         _emit(fit, "json", args.output)
@@ -243,8 +243,8 @@ def default_bubble_windows(food: timeseries.TimeSeries) -> list[Window]:
     windows = []
     span_end = food.start_ordinal + len(food)
     for begin, end in (((2007, 1), (2009, 1)), ((2010, 6), None)):
-        b_ord = begin[0] * 12 + begin[1] - 1
-        e_ord = span_end if end is None else end[0] * 12 + end[1] - 1
+        b_ord = timeseries.ordinal(begin, food.frequency)
+        e_ord = span_end if end is None else timeseries.ordinal(end, food.frequency)
         b = max(b_ord, food.start_ordinal) - food.start_ordinal
         e = min(e_ord, span_end) - food.start_ordinal
         if e > b >= 0:

@@ -9,7 +9,7 @@ with the speculator and coupling terms switched on at a single month index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from . import fitting
 from .errors import AlignmentError, DegenerateInputError
 from .ethanol import QuadraticTrend
-from .speculators import RegimeClassification, classify
-from .timeseries import Frequency, TimeSeries, Window
+from .speculators import RegimeClassification, classify, iterate
+from .timeseries import Frequency, TimeSeries
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,27 @@ def _market_arrays(markets: Sequence[TimeSeries], start: tuple[int, int],
     return arrays
 
 
-def _iterate(params: CombinedParams, market_values: Sequence[np.ndarray],
-             p0: float, p1: float, steps: int) -> np.ndarray:
-    prices = np.empty(steps + 1)
-    prices[0], prices[1] = p0, p1
-    for t in range(1, steps):
-        nxt = (kc_of_t(params.trend_a, params.trend_b, params.k_sd, t)
-               + (1.0 - params.k_sd) * prices[t])
-        if t >= params.switch_index:
-            nxt += params.k_sp * (prices[t] - prices[t - 1])
-            for k_i, series in zip(params.couplings, market_values):
-                nxt += k_i * (series[t] - series[t - 1])
-        prices[t + 1] = nxt
-    return prices
+def _model_terms(trend_a: float, trend_b: float, arrays: Sequence[np.ndarray],
+                 steps: int, switch: int) -> tuple[np.ndarray, ...]:
+    """The parameter-free terms of the updates t = 1..steps-1: the quadratic
+    equilibrium a + b*t**2, the lag compensation b(2t+1) of :func:`kc_of_t`,
+    the gate, 1.0 where speculators and markets act (t >= switch), and the
+    gated market differences gate * (P_i(t) - P_i(t-1)), one row per market."""
+    t = np.arange(1, steps, dtype=float)
+    gate = (t >= switch).astype(float)
+    diffs = np.array([m[1:steps] - m[:steps - 1] for m in arrays])
+    return (trend_a + trend_b * t * t, trend_b * (2.0 * t + 1.0), gate,
+            diffs.reshape(len(arrays), steps - 1) * gate)
+
+
+def _path(v: np.ndarray, terms: tuple[np.ndarray, ...], p0: float,
+          p1: float) -> list[float]:
+    """Prices P(2)..P(steps) for v = (k_sd, k_sp, k_1..k_N)."""
+    quad, lag, gate, gated_diffs = terms
+    k_sd, k_sp = float(v[0]), float(v[1])
+    const = quad * k_sd + lag + v[2:] @ gated_diffs
+    return iterate(const.tolist(), ((1.0 - k_sd) + gate * k_sp).tolist(),
+                   (-gate * k_sp).tolist(), p0, p1)
 
 
 def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
@@ -96,8 +104,12 @@ def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
         start = markets[0].start if markets else (2004, 1)
     frequency = markets[0].frequency if markets else Frequency.MONTHLY
     arrays = _market_arrays(markets, start, frequency, steps + 1)
-    prices = _iterate(params, arrays, p0, p1, steps)
-    return TimeSeries(start, frequency, tuple(prices), "price")
+    terms = _model_terms(params.trend_a, params.trend_b, arrays, steps,
+                         params.switch_index)
+    v = np.array([params.k_sd, params.k_sp, *params.couplings])
+    p0, p1 = float(p0), float(p1)
+    path = _path(v, terms, p0, p1)
+    return TimeSeries(start, frequency, (p0, p1, *path), "price")
 
 
 @dataclass(frozen=True)
@@ -129,47 +141,19 @@ class CombinedFit:
         }
 
 
-def fit_background_trend(food: TimeSeries,
-                         exclude: Sequence[Window] = ()) -> QuadraticTrend:
-    """Quadratic trend of the raw index with bubble windows masked out."""
-    y = food.to_array()
-    t = np.arange(len(y), dtype=float)
-    mask = np.ones(len(y), dtype=bool)
-    for w in exclude:
-        mask[w.begin_index:min(w.end_index, len(y))] = False
-    y, t = y[mask], t[mask]
-    if len(y) < 3:
-        raise DegenerateInputError("need at least 3 points outside exclusions")
-    design = np.column_stack([np.ones_like(t), t * t])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    sst = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if sst == 0 else max(0.0, 1.0 - float(np.sum((y - fitted) ** 2)) / sst)
-    return QuadraticTrend(a=float(coef[0]), b=float(coef[1]), r_squared=r2)
-
-
-def _linear_seed(food: np.ndarray, arrays: Sequence[np.ndarray],
-                 trend: QuadraticTrend, switch: int) -> Optional[np.ndarray]:
+def _linear_seed(food: np.ndarray,
+                 terms: tuple[np.ndarray, ...]) -> Optional[np.ndarray]:
     """One-step-ahead regression estimate of (k_sd, k_sp, k_i).
 
     The recurrence is linear in the parameters when evaluated on the observed
     path, so ordinary least squares on the one-step differences recovers them
     exactly for noiseless data and gives a strong start otherwise.
     """
-    n = len(food)
-    rows = []
-    rhs = []
-    for t in range(1, n - 1):
-        y = food[t + 1] - food[t] - trend.b * (2 * t + 1)
-        gate = 1.0 if t >= switch else 0.0
-        row = [trend.a + trend.b * t * t - food[t],
-               gate * (food[t] - food[t - 1])]
-        row += [gate * (m[t] - m[t - 1]) for m in arrays]
-        rows.append(row)
-        rhs.append(y)
-    design = np.asarray(rows)
+    quad, lag, gate, gated_diffs = terms
+    prev, cur = food[:-2], food[1:-1]
+    design = np.column_stack([quad - cur, gate * (cur - prev), gated_diffs.T])
     try:
-        coef, *_ = np.linalg.lstsq(design, np.asarray(rhs), rcond=None)
+        coef, *_ = np.linalg.lstsq(design, food[2:] - cur - lag, rcond=None)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(coef)):
@@ -185,7 +169,8 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
 
     Initial conditions come from the first two food observations; the trend
     coefficients are taken as given (fitted upstream with the bubble windows
-    excluded).
+    excluded).  The report is the winning candidate's, except that
+    ``evaluations`` sums the residual calls of every candidate.
     """
     if not switch_candidates:
         raise ValueError("switch_candidates must be non-empty")
@@ -198,60 +183,40 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     n_markets = len(markets)
     bounds = ([(1e-4, 1.5), (0.0, 3.0)]
               + [(-1000.0, 100.0)] * n_markets)
-
-    # precompute everything the recurrence needs besides the parameters
-    t_axis = np.arange(1, steps, dtype=float)
-    quad = trend.a + trend.b * t_axis * t_axis
-    lag = trend.b * (2.0 * t_axis + 1.0)
-    diffs = np.array([m[1:steps] - m[:steps - 1] for m in arrays]) \
-        if n_markets else np.empty((0, steps - 1))
-
     lo, hi = np.array(bounds).T
     # the fallback start when the one-step regression is singular
     fallback = np.array([0.2, 1.3] + [-1.0] * n_markets)
 
-    def make_residuals(switch: int):
-        gate = (np.arange(1, steps) >= switch).astype(float)
-        gated_diffs = diffs * gate
-
-        def residuals(v: np.ndarray) -> np.ndarray:
-            k_sd, k_sp = float(v[0]), float(v[1])
-            const = quad * k_sd + lag
-            if n_markets:
-                const = const + v[2:] @ gated_diffs
-            coef1 = (1.0 - k_sd) + gate * k_sp
-            coef2 = -gate * k_sp
-            c_list = const.tolist()
-            a_list = coef1.tolist()
-            b_list = coef2.tolist()
-            path = []
-            prev, cur = p0, p1
-            for i in range(steps - 1):
-                prev, cur = cur, c_list[i] + a_list[i] * cur + b_list[i] * prev
-                path.append(cur)
-            return fv[2:] - np.array(path)
-        return residuals
-
     best = None
+    evaluations = 0
     for switch in switch_candidates:
         if switch < 1:
             raise ValueError("switch candidates must be >= 1")
-        seed = _linear_seed(fv, arrays, trend, switch)
+        terms = _model_terms(trend.a, trend.b, arrays, steps, switch)
+        seed = _linear_seed(fv, terms)
         start = np.clip(fallback if seed is None else seed, lo, hi)
-        report = fitting.minimize(make_residuals(switch), [start], bounds)
+
+        def residuals(v: np.ndarray, terms=terms) -> np.ndarray:
+            return fv[2:] - np.array(_path(v, terms, p0, p1))
+
+        report = fitting.minimize(residuals, [start], bounds)
+        evaluations += report.evaluations
         if best is None or report.objective_value < best[1].objective_value:
             best = (switch, report)
 
     switch, report = best
+    report = replace(report, evaluations=evaluations)
     v = report.parameter_vector
     params = CombinedParams(k_sd=v[0], k_sp=v[1], couplings=tuple(v[2:]),
                             trend_a=trend.a, trend_b=trend.b,
                             switch_index=switch)
-    path_values = _iterate(params, arrays, p0, p1, steps)
+    terms = _model_terms(trend.a, trend.b, arrays, steps, switch)
+    fitted = _path(np.array(v), terms, p0, p1)
+    path_values = np.array([p0, p1, *fitted])
     path = TimeSeries(food.start, food.frequency, tuple(path_values), "fitted price")
     sse = float(np.sum((fv - path_values) ** 2))
     sst = float(np.sum((fv - fv.mean()) ** 2))
     r2 = 1.0 - sse / sst if sst > 0 else float("nan")
     return CombinedFit(params=params, report=report, sse=sse, r2=r2, path=path,
                        switch_date=food.date_at(switch),
-                       regime=classify(params.k_sd, max(params.k_sp, 0.0)))
+                       regime=classify(params.k_sd, params.k_sp))

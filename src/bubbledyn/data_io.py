@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from typing import Union
 
 from .errors import DataError, DomainError
 from .speculators import PhaseGrid
-from .timeseries import Frequency, LagScan, TimeSeries
+from .timeseries import Frequency, LagScan, TimeSeries, align, ordinal
 
 _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _ANNUAL_RE = re.compile(r"^(\d{4})(?:-01)?$")
@@ -54,11 +55,6 @@ def _parse_date(raw: str, frequency: Frequency, row: int) -> tuple[int, int]:
     return int(m.group(1)), 1
 
 
-def _ordinal(date: tuple[int, int], frequency: Frequency) -> int:
-    year, month = date
-    return year * 12 + month - 1 if frequency is Frequency.MONTHLY else year
-
-
 def load_series(spec: SeriesSpec) -> TimeSeries:
     """Parse a CSV file into a gap-free TimeSeries per its spec."""
     path = Path(spec.path)
@@ -80,8 +76,11 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
                 raise DataError(
                     f"{path} row {row_no}: non-numeric value "
                     f"{row[spec.value_column]!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path} row {row_no}: non-finite value "
+                                f"{row[spec.value_column]!r}")
             if dates:
-                gap = _ordinal(date, spec.frequency) - _ordinal(dates[-1], spec.frequency)
+                gap = ordinal(date, spec.frequency) - ordinal(dates[-1], spec.frequency)
                 if gap == 0:
                     raise DataError(f"{path} row {row_no}: duplicate date")
                 if gap < 0:
@@ -101,7 +100,6 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
 
 def derive_surplus(production: TimeSeries, consumption: TimeSeries) -> TimeSeries:
     """Production minus consumption, aligned by calendar year."""
-    from .timeseries import align
     pv, cv, start = align(production, consumption)
     return TimeSeries(start, production.frequency,
                       tuple(p - c for p, c in zip(pv, cv)), "surplus")

@@ -8,12 +8,13 @@ diversion series share one functional form: pure quadratic growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .timeseries import TimeSeries, Window, align, normalize_unit_interval, _pearson
+from .timeseries import (TimeSeries, Window, align, keep_mask,
+                         normalize_unit_interval, _pearson)
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,12 @@ class EthanolLinkParams:
             raise ValueError("beta_sum must be positive")
 
 
-def quadratic_fit(s: TimeSeries, exclude: Optional[Window] = None) -> QuadraticTrend:
-    """OLS on y = a + b*t**2 over non-excluded points, t in index units."""
+def quadratic_fit(s: TimeSeries, exclude: Sequence[Window] = ()) -> QuadraticTrend:
+    """OLS on y = a + b*t**2 outside the ``exclude`` windows (e.g. price
+    bubbles), t in index units."""
     y = s.to_array()
-    t = np.arange(len(y), dtype=float)
-    if exclude is not None:
-        if exclude.end_index > len(y):
-            raise ValueError("exclusion window exceeds series length")
-        mask = np.ones(len(y), dtype=bool)
-        mask[exclude.begin_index:exclude.end_index] = False
-        y, t = y[mask], t[mask]
+    keep = keep_mask(len(y), exclude)
+    y, t = y[keep], np.arange(len(keep), dtype=float)[keep]
     if len(y) < 3:
         raise DegenerateInputError("need at least 3 usable points")
     design = np.column_stack([np.ones_like(t), t * t])
@@ -98,18 +95,16 @@ def trend_comparison(series_a: TimeSeries, series_b: TimeSeries,
     ``exclude_b`` (typically a price-bubble window) is left out of series_b's
     normalization and fit.
     """
+    windows = () if exclude_b is None else (exclude_b,)
     norm_a = normalize_unit_interval(series_a)
     norm_b = normalize_unit_interval(series_b, exclude=exclude_b)
     trend_a = quadratic_fit(norm_a)
-    trend_b = quadratic_fit(norm_b, exclude=exclude_b)
+    trend_b = quadratic_fit(norm_b, exclude=windows)
     av, bv, start = align(norm_a, norm_b)
     if len(av) < 4:
         raise DegenerateInputError("overlapping span must have >= 4 points")
-    if exclude_b is not None:
-        offset = norm_b.index_of(start)
-        idx = np.arange(len(bv)) + offset
-        keep = ~((idx >= exclude_b.begin_index) & (idx < exclude_b.end_index))
-        av, bv = av[keep], bv[keep]
-    rho = _pearson(av, bv)
+    offset = norm_b.index_of(start)
+    keep = keep_mask(len(norm_b), windows)[offset:offset + len(bv)]
+    rho = _pearson(av[keep], bv[keep])
     return TrendComparison(trend_a=trend_a, trend_b=trend_b,
                            coefficient_gap=trend_a.b - trend_b.b, rho=rho)

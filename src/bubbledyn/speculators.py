@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,14 +81,30 @@ def _char_coeffs(k_sd: float, k_sp: float) -> tuple[float, float]:
     return k_sd - k_sp - 1.0, k_sp
 
 
+def iterate(const: Sequence[float], a: Sequence[float], b: Sequence[float],
+            p0: float, p1: float) -> list[float]:
+    """Step P(t+1) = const[i] + a[i] P(t) + b[i] P(t-1) once per coefficient,
+    from P(t-1) = p0 and P(t) = p1; returns the len(const) prices after p1.
+
+    Every price path of the package (first order, second order and the
+    combined model) runs through this loop over plain Python floats.
+    """
+    path = []
+    prev, cur = p0, p1
+    for c, a_i, b_i in zip(const, a, b):
+        prev, cur = cur, c + a_i * cur + b_i * prev
+        path.append(cur)
+    return path
+
+
 def simulate_first_order(params: SpeculatorParams, p0: float, steps: int) -> TimeSeries:
-    """Iterate P(t+1) = k_c - (k_sd - 1) P(t); length steps + 1."""
+    """Iterate P(t+1) = k_c + (1 - k_sd) P(t); length steps + 1."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    prices = [float(p0)]
-    for _ in range(steps):
-        prices.append(params.k_c - (params.k_sd - 1.0) * prices[-1])
-    return TimeSeries((2000, 1), Frequency.MONTHLY, tuple(prices), "price")
+    p0 = float(p0)
+    path = iterate([params.k_c] * steps, [1.0 - params.k_sd] * steps,
+                   [0.0] * steps, 0.0, p0)
+    return TimeSeries((2000, 1), Frequency.MONTHLY, (p0, *path), "price")
 
 
 def closed_form_first_order(params: SpeculatorParams, p_init: float, t: int) -> float:
@@ -104,11 +120,11 @@ def simulate_second_order(params: SpeculatorParams, p0: float, p1: float,
     """Iterate P(t+1) = k_c + (1 + k_sp - k_sd) P(t) - k_sp P(t-1)."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    prices = [float(p0), float(p1)]
-    coef = 1.0 + params.k_sp - params.k_sd
-    for _ in range(steps - 1):
-        prices.append(params.k_c + coef * prices[-1] - params.k_sp * prices[-2])
-    return TimeSeries((2000, 1), Frequency.MONTHLY, tuple(prices), "price")
+    p0, p1 = float(p0), float(p1)
+    n = steps - 1
+    path = iterate([params.k_c] * n, [1.0 + params.k_sp - params.k_sd] * n,
+                   [-params.k_sp] * n, p0, p1)
+    return TimeSeries((2000, 1), Frequency.MONTHLY, (p0, p1, *path), "price")
 
 
 def oscillation_theta(k_sd: float, k_sp: float) -> float:

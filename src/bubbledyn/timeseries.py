@@ -42,6 +42,24 @@ class Window:
         return self.begin_index <= index < self.end_index
 
 
+def keep_mask(n: int, windows: Sequence[Window]) -> np.ndarray:
+    """Boolean mask of the indices 0..n-1 outside every window; a window
+    reaching past index n - 1 raises ValueError."""
+    keep = np.ones(n, dtype=bool)
+    for w in windows:
+        if w.end_index > n:
+            raise ValueError("exclusion window exceeds series length")
+        keep[w.begin_index:w.end_index] = False
+    return keep
+
+
+def ordinal(date: tuple[int, int], frequency: Frequency) -> int:
+    """Position of ``date`` on the frequency's calendar axis (months since
+    year 0 for monthly series, the year for annual ones)."""
+    year, month = date
+    return year * 12 + month - 1 if frequency is Frequency.MONTHLY else year
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Gap-free sequence of scalar observations at a fixed frequency.
@@ -76,27 +94,19 @@ class TimeSeries:
 
     @property
     def start_ordinal(self) -> int:
-        """Position of the first observation on the frequency's calendar axis
-        (months since year 0 for monthly series, the year for annual ones)."""
-        year, month = self.start
-        if self.frequency is Frequency.MONTHLY:
-            return year * 12 + (month - 1)
-        return year
+        """:func:`ordinal` of the first observation."""
+        return ordinal(self.start, self.frequency)
 
     def date_at(self, index: int) -> tuple[int, int]:
-        year, month = self.start
+        position = self.start_ordinal + index
         if self.frequency is Frequency.MONTHLY:
-            total = year * 12 + (month - 1) + index
-            return divmod(total, 12)[0], divmod(total, 12)[1] + 1
-        return year + index, month
+            year, month = divmod(position, 12)
+            return year, month + 1
+        return position, self.start[1]
 
     def index_of(self, date: tuple[int, int]) -> int:
         """Index of the observation at ``date``; raises if out of range."""
-        year, month = date
-        if self.frequency is Frequency.MONTHLY:
-            idx = year * 12 + (month - 1) - self.start_ordinal
-        else:
-            idx = year - self.start[0]
+        idx = ordinal(date, self.frequency) - self.start_ordinal
         if not 0 <= idx < len(self):
             raise IndexError(f"date {date} outside series span")
         return int(idx)
@@ -173,14 +183,7 @@ def normalize_unit_interval(s: TimeSeries, exclude: Optional[Window] = None) -> 
     [0, 1].
     """
     values = s.to_array()
-    if exclude is not None:
-        if exclude.end_index > len(values):
-            raise ValueError("exclusion window exceeds series length")
-        mask = np.ones(len(values), dtype=bool)
-        mask[exclude.begin_index:exclude.end_index] = False
-    else:
-        mask = np.ones(len(values), dtype=bool)
-    kept = values[mask]
+    kept = values[keep_mask(len(values), () if exclude is None else (exclude,))]
     if kept.size == 0:
         raise DegenerateInputError("exclusion window covers the whole series")
     lo, hi = kept.min(), kept.max()

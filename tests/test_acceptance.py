@@ -16,11 +16,11 @@ import pytest
 
 from bubbledyn import (Frequency, QuadraticTrend, Regime, SeriesSpec,
                        TimeSeries, Transform, Window, box_cox, classify,
-                       closed_form_second_order, fit_background_trend,
-                       fit_combined, fit_supply_demand, inverse_box_cox,
+                       closed_form_second_order, fit_combined,
+                       fit_supply_demand, inverse_box_cox,
                        lagged_cross_correlation, load_series,
                        normalize_unit_interval, oscillation_theta,
-                       shock_update, simulate_first_order,
+                       quadratic_fit, shock_update, simulate_first_order,
                        simulate_second_order, trend_comparison)
 from bubbledyn import SpeculatorParams, emit
 from bubbledyn.cli import default_bubble_windows, switch_candidates_for_year
@@ -151,7 +151,7 @@ def test_05_paper_parameters_on_fixtures():
     bonds = load_series(SeriesSpec(fixture_path("note10y_yield_monthly.csv"),
                                    Frequency.MONTHLY, label="inverse yield",
                                    transform=Transform.INVERSE))
-    trend = fit_background_trend(food, default_bubble_windows(food))
+    trend = quadratic_fit(food, default_bubble_windows(food))
     fit = fit_combined(food, [sp500, bonds], trend,
                        switch_candidates_for_year(food, 2007))
     elapsed = time.perf_counter() - started
@@ -255,7 +255,7 @@ def test_09_inventory_lag_on_fixtures():
     inventory = load_series(SeriesSpec(
         fixture_path("inventory_change_monthly.csv"), Frequency.MONTHLY,
         label="inventory change"))
-    trend = fit_background_trend(food, default_bubble_windows(food))
+    trend = quadratic_fit(food, default_bubble_windows(food))
     t = np.arange(len(food), dtype=float)
     deviation = food.with_values(
         food.to_array() - (trend.a + trend.b * t * t), "price deviation")

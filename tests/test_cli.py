@@ -139,10 +139,14 @@ class TestErrorContract:
         ("simulate-spec --ksd 0.1 --ksp 1.9 --kc 1 --p0 1 --p1 2 --steps 10000",
          EXIT_USAGE),  # overflows to non-finite prices
         ("correlate --a missing.csv --b missing.csv", EXIT_DATA),
+        ("correlate --a nan.csv --b nan.csv --frequency monthly", EXIT_DATA),
+        ("fit-combined --food m60.csv --exclude-window 70:90", EXIT_USAGE),
     ])
     def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                     argv, code):
         monkeypatch.chdir(tmp_path)
+        write_series_csv(tmp_path / "m60.csv", 100.0 + np.arange(60.0))
+        (tmp_path / "nan.csv").write_text("date,value\n2004-01,1\n2004-02,nan\n")
         got, out, err = run(capsys, *argv.split())
         assert got == code
         assert out == ""

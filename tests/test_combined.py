@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubbledyn import (AlignmentError, CombinedParams, QuadraticTrend, Regime,
-                       Window, fit_background_trend, fit_combined, kc_of_t,
+                       Window, fit_combined, fitting, kc_of_t, quadratic_fit,
                        simulate_combined)
 
 from conftest import monthly
@@ -106,7 +107,7 @@ class TestBackgroundTrend:
         t = np.arange(80, dtype=float)
         values = 100.0 + 0.012 * t * t
         values[40:55] += 60.0  # bubble
-        trend = fit_background_trend(monthly(values), [Window(40, 55)])
+        trend = quadratic_fit(monthly(values), [Window(40, 55)])
         assert trend.a == pytest.approx(100.0, abs=1e-9)
         assert trend.b == pytest.approx(0.012, abs=1e-12)
         assert trend.r_squared == pytest.approx(1.0)
@@ -141,6 +142,47 @@ class TestFitCombined:
                     "regime"):
             assert key in payload
         assert payload["switch_date"] == "2007-05"
+
+    def test_evaluations_sum_every_switch_candidate(self, monkeypatch):
+        reports = []
+        real = fitting.minimize
+
+        def counting(residuals, starts, bounds):
+            calls = [0]
+
+            def counted(v):
+                calls[0] += 1
+                return residuals(v)
+
+            report = real(counted, starts, bounds)
+            reports.append((report, calls[0]))
+            return report
+
+        monkeypatch.setattr(fitting, "minimize", counting)
+        food, markets = make_food(60)
+        trend = QuadraticTrend(a=TRUTH["trend_a"], b=TRUTH["trend_b"],
+                               r_squared=1.0)
+        fit = fit_combined(food, markets, trend, switch_candidates=[38, 40, 42])
+        assert len(reports) == 3
+        assert fit.report.evaluations == sum(n for _, n in reports)
+        winner = min((r for r, _ in reports), key=lambda r: r.objective_value)
+        assert fit.report.evaluations > winner.evaluations
+        assert fit.report.converged == winner.converged
+        assert fit.report.parameter_vector == winner.parameter_vector
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(20, 50), st.integers(0, 2**32 - 1))
+    def test_fitted_path_is_simulate_combined(self, switch, seed):
+        food, markets = make_food(60)
+        noise = np.random.default_rng(seed).normal(0.0, 0.5, len(food))
+        noisy = food.with_values(food.to_array() + noise)
+        trend = QuadraticTrend(a=TRUTH["trend_a"], b=TRUTH["trend_b"],
+                               r_squared=1.0)
+        fit = fit_combined(noisy, markets, trend, switch_candidates=[switch])
+        fv = noisy.to_array()
+        sim = simulate_combined(fit.params, markets, fv[0], fv[1], len(fv) - 1,
+                                start=noisy.start)
+        assert fit.path.values == sim.values
 
     def test_empty_candidates_rejected(self):
         food, markets = make_food(40)

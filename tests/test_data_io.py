@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bubbledyn import (DataError, DomainError, Frequency, SeriesSpec,
                        Transform, derive_surplus, emit, load_series,
@@ -45,6 +46,24 @@ class TestLoadSeries:
         f = tmp_path / "s.csv"
         write_csv(f, ["2004-01,1", "2004-02,oops"])
         with pytest.raises(DataError, match="row 3"):
+            load_series(SeriesSpec(f, Frequency.MONTHLY))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_row(self, tmp_path, cell):
+        f = tmp_path / "s.csv"
+        write_csv(f, ["2004-01,1", "2004-02,2", f"2004-03,{cell}"])
+        with pytest.raises(DataError, match="row 4: non-finite"):
+            load_series(SeriesSpec(f, Frequency.MONTHLY))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1000, 9998))
+    def test_year_boundary(self, tmp_path, year):
+        f = tmp_path / "s.csv"
+        write_csv(f, [f"{year}-12,1", f"{year + 1}-01,2"])
+        s = load_series(SeriesSpec(f, Frequency.MONTHLY))
+        assert s.start == (year, 12) and s.date_at(1) == (year + 1, 1)
+        write_csv(f, [f"{year}-12,1", f"{year + 1}-02,2"])
+        with pytest.raises(DataError, match="row 3: gap"):
             load_series(SeriesSpec(f, Frequency.MONTHLY))
 
     def test_inverse_transform(self, tmp_path):

@@ -23,7 +23,7 @@ class TestQuadraticFit:
     def test_exclusion_window_ignored_in_fit(self):
         values = [1.0 + 0.2 * t * t for t in range(10)]
         values[4] = 99.0  # corrupted point
-        trend = quadratic_fit(annual(values), exclude=Window(4, 5))
+        trend = quadratic_fit(annual(values), exclude=[Window(4, 5)])
         assert trend.a == pytest.approx(1.0, abs=1e-9)
         assert trend.b == pytest.approx(0.2, abs=1e-9)
 
@@ -36,7 +36,7 @@ class TestQuadraticFit:
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateInputError):
-            quadratic_fit(annual([1.0, 2.0, 3.0, 4.0]), exclude=Window(0, 2))
+            quadratic_fit(annual([1.0, 2.0, 3.0, 4.0]), exclude=[Window(0, 2)])
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(8)

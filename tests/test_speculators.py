@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubbledyn import (Regime, SpeculatorParams, classify,
                        closed_form_first_order, closed_form_second_order,
                        oscillation_theta, phase_grid, simulate_first_order,
                        simulate_second_order)
+from bubbledyn.speculators import iterate
 
 import regime_sampling
 
@@ -120,6 +122,37 @@ class TestSecondOrder:
             cf = np.array([closed_form_second_order(params, 1.0, t)
                            for t in range(101)])
             assert relative_gap(sim, cf) < 1e-8
+
+
+#: One draw per dynamical regime of the second-order recurrence.
+REGIME_DRAWS = {
+    "real convergent": regime_sampling.draw_case1_convergent,
+    "real divergent": regime_sampling.draw_case1_divergent,
+    "damped": lambda rng: regime_sampling.draw_case3(rng, 0.5),
+    "sustained": lambda rng: regime_sampling.draw_case3(rng, 1.0),
+    "amplified": lambda rng: regime_sampling.draw_case3(rng, 1.5),
+    "repeated root": regime_sampling.draw_case2,
+}
+
+
+class TestIterateKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(REGIME_DRAWS)), st.integers(0, 2**32 - 1),
+           st.floats(-5.0, 5.0).filter(lambda d: abs(d) > 1e-3))
+    def test_matches_closed_form_in_every_regime(self, regime, seed, dev):
+        params = REGIME_DRAWS[regime](np.random.default_rng(seed))
+        p_e, n = params.equilibrium_price, 80
+        path = iterate([params.k_c] * n, [1.0 + params.k_sp - params.k_sd] * n,
+                       [-params.k_sp] * n, p_e, p_e + dev)
+        sim = np.array([p_e, p_e + dev, *path])
+        cf = np.array([closed_form_second_order(params, dev, t)
+                       for t in range(n + 2)])
+        assert relative_gap(sim, cf) < 1e-8
+
+    def test_returns_only_the_stepped_prices(self):
+        assert iterate([1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], 3.0, 5.0) \
+            == [1.0 + 10.0 - 3.0, 1.0 + 16.0 - 5.0]
+        assert iterate([], [], [], 3.0, 5.0) == []
 
 
 class TestClassify:

@@ -8,7 +8,7 @@ from bubbledyn import (AlignmentError, DegenerateInputError, DomainError,
                        Frequency, TimeSeries, Window, box_cox, deflate,
                        inverse_box_cox, lagged_cross_correlation,
                        normalize_unit_interval, pearson_correlation)
-from bubbledyn.timeseries import LAMBDA_EPS
+from bubbledyn.timeseries import LAMBDA_EPS, ordinal
 
 from conftest import annual, monthly
 
@@ -33,6 +33,18 @@ class TestTimeSeries:
         s = annual(range(5), start=(1999, 1))
         assert s.date_at(3) == (2002, 1)
         assert s.index_of((2000, 1)) == 1
+
+    @given(st.sampled_from(list(Frequency)), st.integers(1, 9999),
+           st.integers(1, 12), st.integers(1, 400), st.data())
+    def test_calendar_roundtrip_random_start(self, frequency, year, month,
+                                             n, data):
+        start = (year, month if frequency is Frequency.MONTHLY else 1)
+        s = TimeSeries(start, frequency, (0.0,) * n)
+        i = data.draw(st.integers(0, n - 1))
+        date = s.date_at(i)
+        assert s.index_of(date) == i
+        assert ordinal(date, frequency) == s.start_ordinal + i
+        assert 1 <= date[1] <= 12
 
     def test_index_out_of_span(self):
         with pytest.raises(IndexError):
