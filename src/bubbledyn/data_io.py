@@ -70,15 +70,15 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
                 f"{path}: missing column(s) {spec.date_column!r}/{spec.value_column!r}")
         for row_no, row in enumerate(reader, start=2):
             date = _parse_date(row[spec.date_column], spec.frequency, row_no)
+            cell = row[spec.value_column] or ""
             try:
-                value = float(row[spec.value_column])
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path} row {row_no}: non-numeric value "
-                    f"{row[spec.value_column]!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{path} row {row_no}: non-finite value "
-                                f"{row[spec.value_column]!r}")
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            # float() also takes the digit separators of Python literals
+            if "_" in cell or not math.isfinite(value):
+                raise DataError(f"{path} row {row_no}: non-finite or non-numeric "
+                                f"value {cell!r}")
             if dates:
                 gap = ordinal(date, spec.frequency) - ordinal(dates[-1], spec.frequency)
                 if gap == 0:
@@ -118,9 +118,10 @@ def _series_rows(series: TimeSeries):
 
 
 def _grid_rows(grid: PhaseGrid):
-    for node in grid.nodes:
-        yield (repr(node.k_sd), repr(node.k_sp), repr(node.discriminant),
-               node.label.value, "" if node.period is None else repr(node.period))
+    for (k_sd, k_sp), delta, label, period in zip(grid.points(), grid.discriminant,
+                                                  grid.labels, grid.period):
+        yield (repr(k_sd), repr(k_sp), repr(delta), label.value,
+               "" if period is None else repr(period))
 
 
 def _to_jsonable(obj):
@@ -130,15 +131,6 @@ def _to_jsonable(obj):
             "frequency": obj.frequency.value,
             "label": obj.label,
             "values": list(obj.values),
-        }
-    if isinstance(obj, PhaseGrid):
-        return {
-            "k_sd_axis": list(obj.k_sd_axis),
-            "k_sp_axis": list(obj.k_sp_axis),
-            "nodes": [{"k_sd": n.k_sd, "k_sp": n.k_sp,
-                       "delta": n.discriminant, "label": n.label.value,
-                       "period": n.period, "convergent": n.convergent}
-                      for n in obj.nodes],
         }
     if isinstance(obj, LagScan):
         return {"entries": [{"lag": lag, "rho": rho} for lag, rho in obj.entries],

@@ -24,9 +24,4 @@ class DataError(BubbledynError):
 
 
 class FitError(BubbledynError):
-    """An optimization failed.  ``best_so_far`` carries the best point
-    found before failure, when one exists."""
-
-    def __init__(self, message, best_so_far=None):
-        super().__init__(message)
-        self.best_so_far = best_so_far
+    """An optimization failed."""

@@ -169,71 +169,94 @@ def closed_form_second_order(params: SpeculatorParams, p1_deviation: float,
             * math.sin(theta * t) / sin_theta + p_e)
 
 
-def _first_order_label(ratio: float) -> tuple[Regime, bool]:
-    convergent = abs(ratio) < 1.0
-    if convergent:
-        label = (Regime.FIRST_ORDER_MONOTONE_CONVERGENT if ratio >= 0
-                 else Regime.FIRST_ORDER_ALTERNATING)
-    elif ratio >= 0:
-        label = Regime.FIRST_ORDER_MONOTONE_DIVERGENT
-    else:
-        # divergent alternation is ordinary two-real-root divergence
-        label = Regime.REAL_DIVERGENT
-    return label, convergent
+#: Labels of the regime rule's cases, as (convergent, divergent) pairs in the
+#: order of the cases in :func:`_regimes`; a label code indexes this tuple.
+_RULE_LABELS = (Regime.REPEATED_ROOT_CONVERGENT, Regime.REPEATED_ROOT_DIVERGENT,
+                Regime.SUSTAINED_OSCILLATION, Regime.SUSTAINED_OSCILLATION,
+                Regime.DAMPED_OSCILLATION, Regime.AMPLIFIED_OSCILLATION,
+                Regime.FIRST_ORDER_MONOTONE_CONVERGENT, Regime.FIRST_ORDER_MONOTONE_DIVERGENT,
+                # divergent first-order alternation is two-real-root divergence
+                Regime.FIRST_ORDER_ALTERNATING, Regime.REAL_DIVERGENT,
+                Regime.REAL_CONVERGENT, Regime.REAL_DIVERGENT)
+
+
+def _regimes(k_sd: np.ndarray, k_sp: np.ndarray):
+    """The regime rule at every point of two equal-shape float arrays.
+
+    Returns the discriminant, the label code (an index into _RULE_LABELS),
+    the convergence flag and the period, an object array that is None off
+    the oscillating band.
+    """
+    b, c = _char_coeffs(k_sd, k_sp)
+    delta = b * b - 4.0 * c
+    repeated = (np.abs(delta) < DELTA_EPS) & (k_sp > 0)
+    oscillating = ~repeated & (delta < 0)
+    sustained = oscillating & (np.abs(k_sp - 1.0) <= KSP_TOL)
+    # pure Walrasian adjustment: roots are {1 - k_sd, 0}
+    first_order = k_sp == 0
+    ratio = 1.0 - k_sd
+    sq = np.sqrt(np.where(repeated | oscillating, 0.0, delta))
+    convergent = np.select(
+        [repeated, sustained, oscillating, first_order],
+        [np.abs(-b / 2.0) < 1.0, False, k_sp < 1.0, np.abs(ratio) < 1.0],
+        np.maximum(np.abs((-b + sq) / 2.0), np.abs((-b - sq) / 2.0)) < 1.0)
+    case = np.select([repeated, sustained, oscillating, first_order & (ratio >= 0),
+                      first_order], [0, 2, 4, 6, 8], 10)
+    period = np.full(delta.shape, None, dtype=object)
+    # math.asin, not np.arcsin: the two differ in the last bit on some nodes
+    period[oscillating] = [2.0 * math.pi / oscillation_theta(sd, sp) for sd, sp
+                           in zip(k_sd[oscillating].tolist(), k_sp[oscillating].tolist())]
+    return delta, case + ~convergent, convergent, period
 
 
 def classify(k_sd: float, k_sp: float) -> RegimeClassification:
     """Discriminant, characteristic roots, and regime label at one point."""
-    if k_sd <= 0:
+    if not k_sd > 0:
         raise ValueError("k_sd must be positive")
-    if k_sp < 0:
+    if not k_sp >= 0:
         raise ValueError("k_sp must be non-negative")
-    b, c = _char_coeffs(k_sd, k_sp)
-    delta = b * b - 4.0 * c
-    theta = None
-    period = None
-    if abs(delta) < DELTA_EPS and k_sp > 0:
-        root = -b / 2.0
-        roots = (complex(root), complex(root))
-        convergent = abs(root) < 1.0
-        label = (Regime.REPEATED_ROOT_CONVERGENT if convergent
-                 else Regime.REPEATED_ROOT_DIVERGENT)
-    elif delta < 0:
-        sq = cmath.sqrt(complex(delta))
-        roots = ((-b + sq) / 2.0, (-b - sq) / 2.0)
-        theta = oscillation_theta(k_sd, k_sp)
-        period = 2.0 * math.pi / theta
-        if abs(k_sp - 1.0) <= KSP_TOL:
-            label, convergent = Regime.SUSTAINED_OSCILLATION, False
-        elif k_sp < 1.0:
-            label, convergent = Regime.DAMPED_OSCILLATION, True
-        else:
-            label, convergent = Regime.AMPLIFIED_OSCILLATION, False
-    else:
-        sq = math.sqrt(delta)
-        m1, m2 = (-b + sq) / 2.0, (-b - sq) / 2.0
-        roots = (complex(m1), complex(m2))
-        convergent = max(abs(m1), abs(m2)) < 1.0
-        if k_sp == 0:
-            # pure Walrasian adjustment: roots are {1 - k_sd, 0}
-            label, convergent = _first_order_label(1.0 - k_sd)
-        else:
-            label = Regime.REAL_CONVERGENT if convergent else Regime.REAL_DIVERGENT
-    return RegimeClassification(k_sd=k_sd, k_sp=k_sp, discriminant=delta,
-                                roots=roots, label=label, convergent=convergent,
-                                theta=theta, period=period)
+    delta, code, convergent, period = (
+        v[0] for v in _regimes(np.array([k_sd], float), np.array([k_sp], float)))
+    label, delta = _RULE_LABELS[code], float(delta)
+    b, _ = _char_coeffs(k_sd, k_sp)
+    sq = (0.0 if label in _RULE_LABELS[:2]  # both roots are -b/2
+          else cmath.sqrt(delta) if delta < 0 else math.sqrt(delta))
+    return RegimeClassification(
+        k_sd=k_sd, k_sp=k_sp, discriminant=delta,
+        roots=(complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)),
+        label=label, convergent=bool(convergent),
+        theta=None if period is None else oscillation_theta(k_sd, k_sp),
+        period=period)
 
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Row-major grid of classifications; rows sweep k_sp, columns k_sd."""
+    """Regime columns of a grid whose rows sweep k_sp and columns k_sd;
+    each column lists the nodes row-major."""
 
     k_sd_axis: tuple[float, ...]
     k_sp_axis: tuple[float, ...]
-    nodes: tuple[RegimeClassification, ...]
+    discriminant: tuple[float, ...]
+    labels: tuple[Regime, ...]
+    convergent: tuple[bool, ...]
+    period: tuple[Optional[float], ...]
 
     def at(self, i_sp: int, j_sd: int) -> RegimeClassification:
-        return self.nodes[i_sp * len(self.k_sd_axis) + j_sd]
+        return classify(self.k_sd_axis[j_sd], self.k_sp_axis[i_sp])
+
+    def points(self):
+        """(k_sd, k_sp) of every node, row-major."""
+        return ((sd, sp) for sp in self.k_sp_axis for sd in self.k_sd_axis)
+
+    def to_dict(self) -> dict:
+        nodes = zip(self.points(), self.discriminant, self.labels, self.period,
+                    self.convergent)
+        return {"k_sd_axis": list(self.k_sd_axis),
+                "k_sp_axis": list(self.k_sp_axis),
+                "nodes": [{"k_sd": sd, "k_sp": sp, "delta": delta,
+                           "label": label.value, "period": period,
+                           "convergent": convergent}
+                          for (sd, sp), delta, label, period, convergent in nodes]}
 
 
 def phase_grid(k_sd_range: tuple[float, float, int],
@@ -242,17 +265,15 @@ def phase_grid(k_sd_range: tuple[float, float, int],
     for lo, hi, n in (k_sd_range, k_sp_range):
         if n < 2:
             raise ValueError("each axis needs at least 2 points")
-        if lo >= hi:
-            raise ValueError("range must have lo < hi")
-    sd_lo, sd_hi, sd_n = k_sd_range
-    sp_lo, sp_hi, sp_n = k_sp_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("range must have finite lo < hi")
     # k_sd = 0 is outside the model's domain; nudge the axis off zero.
-    k_sd_axis = np.linspace(sd_lo, sd_hi, sd_n)
+    k_sd_axis = np.linspace(*k_sd_range)
     k_sd_axis[k_sd_axis <= 0] = 1e-9
-    k_sp_axis = np.linspace(sp_lo, sp_hi, sp_n)
+    k_sp_axis = np.linspace(*k_sp_range)
     k_sp_axis[k_sp_axis < 0] = 0.0
-    nodes = [classify(float(sd), float(sp))
-             for sp in k_sp_axis for sd in k_sd_axis]
-    return PhaseGrid(tuple(float(v) for v in k_sd_axis),
-                     tuple(float(v) for v in k_sp_axis),
-                     tuple(nodes))
+    delta, code, convergent, period = (
+        v.ravel().tolist() for v in _regimes(*np.meshgrid(k_sd_axis, k_sp_axis)))
+    return PhaseGrid(tuple(k_sd_axis.tolist()), tuple(k_sp_axis.tolist()),
+                     tuple(delta), tuple(_RULE_LABELS[c] for c in code),
+                     tuple(convergent), tuple(period))

@@ -154,14 +154,6 @@ class SupplyDemandFit:
         }
 
 
-def _align3(a: TimeSeries, b: TimeSeries, c: TimeSeries):
-    av, bv, start = align(a, b)
-    tmp = TimeSeries(start, a.frequency, tuple(av))
-    av2, cv, start2 = align(tmp, c)
-    offset = tmp.index_of(start2)
-    return av2, bv[offset:offset + len(av2)], cv, start2
-
-
 def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
                       surplus: TimeSeries) -> SupplyDemandFit:
     """Three-parameter joint fit of equilibrium price and consumption.
@@ -171,7 +163,7 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
     match it exactly.  The objective is the variance-normalized SSE of price
     plus consumption, both in original units.
     """
-    pv, qv, sv, start = _align3(price, consumption, surplus)
+    pv, qv, sv, start = align(price, consumption, surplus)
     if len(pv) < 5:
         raise DegenerateInputError("need at least 5 aligned observations")
     if np.any(pv <= 0) or np.any(qv <= 0):

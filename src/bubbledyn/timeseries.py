@@ -117,23 +117,21 @@ class TimeSeries:
                           self.label if label is None else label)
 
 
-def align(a: TimeSeries, b: TimeSeries) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """Calendar-date alignment of two series.
+def align(*series: TimeSeries) -> tuple:
+    """Calendar-date alignment of any number of series.
 
-    Returns the overlapping value arrays and the common start date.
-    Frequency mismatch is an error, never silently resampled.
+    Returns one overlapping value array per series, then the common start
+    date.  Frequency mismatch is an error, never silently resampled.
     """
-    if a.frequency is not b.frequency:
-        raise AlignmentError(
-            f"frequency mismatch: {a.frequency.value} vs {b.frequency.value}")
-    lo = max(a.start_ordinal, b.start_ordinal)
-    hi = min(a.start_ordinal + len(a), b.start_ordinal + len(b))
+    if len({s.frequency for s in series}) > 1:
+        raise AlignmentError("frequency mismatch: "
+                             + " vs ".join(s.frequency.value for s in series))
+    lo = max(s.start_ordinal for s in series)
+    hi = min(s.start_ordinal + len(s) for s in series)
     if hi <= lo:
         raise AlignmentError("series have no overlapping span")
-    xs = a.to_array()[lo - a.start_ordinal: hi - a.start_ordinal]
-    ys = b.to_array()[lo - b.start_ordinal: hi - b.start_ordinal]
-    start = a.date_at(lo - a.start_ordinal)
-    return xs, ys, start
+    arrays = [s.to_array()[lo - s.start_ordinal: hi - s.start_ordinal] for s in series]
+    return (*arrays, series[0].date_at(lo - series[0].start_ordinal))
 
 
 def box_cox(x: float, lam: float) -> float:
@@ -213,6 +211,8 @@ def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> La
     """Pearson rho of xs(t) against ys(t + lag) for lag = 0..max_lag."""
     if xs.frequency is not ys.frequency:
         raise AlignmentError("lagged_cross_correlation requires equal frequencies")
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
     entries = []
     omitted = []
     ox, oy = xs.start_ordinal, ys.start_ordinal

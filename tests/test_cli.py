@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -56,6 +57,16 @@ class TestPhase:
                          "-o", str(dest))
         assert code == EXIT_OK
         assert len(dest.read_text().strip().splitlines()) == 401
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "3f5e0e929ca13c042033ed9eec2b46e3814c0ca78cab8f76aee8915a761380d0"),
+        ("json", "742bff9fdf5cdf6d828502b8f9dbf3c938f90c7bc79e58d9d00c4ca042f23cec"),
+    ])
+    def test_output_bytes(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "phase", "--ksd", "0:5:40", "--ksp", "0:2:40",
+                           "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -141,6 +152,9 @@ class TestErrorContract:
         ("correlate --a missing.csv --b missing.csv", EXIT_DATA),
         ("correlate --a nan.csv --b nan.csv --frequency monthly", EXIT_DATA),
         ("fit-combined --food m60.csv --exclude-window 70:90", EXIT_USAGE),
+        ("phase --ksd nan:5:3 --ksp 0:1:2", EXIT_USAGE),
+        ("phase --ksd 0:inf:3 --ksp 0:1:2", EXIT_USAGE),
+        ("lagscan --a m60.csv --b m60.csv --max-lag -1", EXIT_USAGE),
     ])
     def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                     argv, code):

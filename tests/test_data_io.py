@@ -48,7 +48,7 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="row 3"):
             load_series(SeriesSpec(f, Frequency.MONTHLY))
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "1_000"])
     def test_non_finite_value_names_row(self, tmp_path, cell):
         f = tmp_path / "s.csv"
         write_csv(f, ["2004-01,1", "2004-02,2", f"2004-03,{cell}"])

@@ -8,7 +8,7 @@ from bubbledyn import (Regime, SpeculatorParams, classify,
                        closed_form_first_order, closed_form_second_order,
                        oscillation_theta, phase_grid, simulate_first_order,
                        simulate_second_order)
-from bubbledyn.speculators import iterate
+from bubbledyn.speculators import DELTA_EPS, KSP_TOL, iterate
 
 import regime_sampling
 
@@ -202,6 +202,70 @@ class TestClassify:
             classify(0.0, 0.5)
         with pytest.raises(ValueError):
             classify(1.0, -0.1)
+        with pytest.raises(ValueError):
+            classify(math.nan, 0.5)
+        with pytest.raises(ValueError):
+            classify(1.0, math.nan)
+
+
+def _scalar_rule(k_sd, k_sp):
+    """The per-point regime rule, written out branch by branch as a reference
+    for the array rule: (discriminant, label, convergent, period)."""
+    b = k_sd - k_sp - 1.0
+    delta = b * b - 4.0 * k_sp
+    if abs(delta) < DELTA_EPS and k_sp > 0:
+        convergent = abs(-b / 2.0) < 1.0
+        label = (Regime.REPEATED_ROOT_CONVERGENT if convergent
+                 else Regime.REPEATED_ROOT_DIVERGENT)
+        return delta, label, convergent, None
+    if delta < 0:
+        period = 2.0 * math.pi / math.asin(math.sqrt(1.0 - b * b / (4.0 * k_sp)))
+        if abs(k_sp - 1.0) <= KSP_TOL:
+            return delta, Regime.SUSTAINED_OSCILLATION, False, period
+        if k_sp < 1.0:
+            return delta, Regime.DAMPED_OSCILLATION, True, period
+        return delta, Regime.AMPLIFIED_OSCILLATION, False, period
+    if k_sp == 0:
+        ratio = 1.0 - k_sd
+        convergent = abs(ratio) < 1.0
+        if convergent:
+            label = (Regime.FIRST_ORDER_MONOTONE_CONVERGENT if ratio >= 0
+                     else Regime.FIRST_ORDER_ALTERNATING)
+        else:
+            label = (Regime.FIRST_ORDER_MONOTONE_DIVERGENT if ratio >= 0
+                     else Regime.REAL_DIVERGENT)
+        return delta, label, convergent, None
+    sq = math.sqrt(delta)
+    convergent = max(abs((-b + sq) / 2.0), abs((-b - sq) / 2.0)) < 1.0
+    label = Regime.REAL_CONVERGENT if convergent else Regime.REAL_DIVERGENT
+    return delta, label, convergent, None
+
+
+#: The smallest grid _lattice_ranges draws: k_sd and k_sp in steps of 1/4,
+#: k_sd from 0 (nudged to 1e-9) to 4, k_sp from 0 to 1.  It holds the
+#: k_sp = 0 row, the k_sp = 1 row inside the sustained band, and repeated
+#: roots at (0.25, 0.25), (2.25, 0.25) and (4, 1).
+_SMALLEST_LATTICE = ((0.0, 4.0, 17), (0.0, 1.0, 5))
+
+
+@st.composite
+def _lattice_ranges(draw):
+    """Grids in steps of 1/4 that contain _SMALLEST_LATTICE."""
+    top_sd = draw(st.integers(16, 36))  # k_sd up to top_sd / 4
+    top_sp = draw(st.integers(4, 16))   # k_sp up to top_sp / 4
+    below = draw(st.integers(0, 2))     # rows below 0, clamped to k_sp = 0
+    return ((0.0, top_sd / 4, top_sd + 1),
+            (-below / 4, top_sp / 4, top_sp + below + 1))
+
+
+@st.composite
+def _random_ranges(draw):
+    sd_lo = draw(st.floats(-0.5, 4.0))
+    sd_hi = sd_lo + draw(st.floats(0.01, 6.0))
+    sp_lo = draw(st.one_of(st.just(0.0), st.floats(-0.5, 2.0)))
+    sp_hi = sp_lo + draw(st.floats(0.01, 3.0))
+    return ((sd_lo, sd_hi, draw(st.integers(2, 12))),
+            (sp_lo, sp_hi, draw(st.integers(2, 12))))
 
 
 class TestPhaseGrid:
@@ -219,13 +283,51 @@ class TestPhaseGrid:
 
     def test_high_ksd_never_convergent(self):
         grid = phase_grid((4.0, 6.0, 5), (0.0, 2.0, 41))
-        assert not any(node.convergent for node in grid.nodes)
+        assert len(grid.convergent) == 5 * 41
+        assert not any(grid.convergent)
 
     def test_row_major_layout(self):
         grid = phase_grid((0.5, 1.5, 3), (0.0, 1.0, 2))
-        assert len(grid.nodes) == 6
-        assert grid.nodes[4].k_sd == pytest.approx(1.0)
-        assert grid.nodes[4].k_sp == pytest.approx(1.0)
+        columns = (grid.discriminant, grid.labels, grid.convergent, grid.period)
+        assert [len(column) for column in columns] == [6] * 4
+        k_sd, k_sp = list(grid.points())[4]
+        assert k_sd == pytest.approx(1.0)
+        assert k_sp == pytest.approx(1.0)
+        node = grid.at(1, 1)
+        assert (node.k_sd, node.k_sp) == (k_sd, k_sp)
+        assert (grid.discriminant[4], grid.labels[4], grid.convergent[4],
+                grid.period[4]) == (node.discriminant, node.label,
+                                    node.convergent, node.period)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_lattice_ranges(), _random_ranges()))
+    def test_columns_match_per_node_classify(self, ranges):
+        grid = phase_grid(*ranges)
+        n_sd = len(grid.k_sd_axis)
+        for i, sp in enumerate(grid.k_sp_axis):
+            for j, sd in enumerate(grid.k_sd_axis):
+                node = classify(sd, sp)
+                want = _scalar_rule(sd, sp)
+                assert (node.discriminant, node.label, node.convergent,
+                        node.period) == want
+                k = i * n_sd + j
+                assert (grid.discriminant[k], grid.labels[k], grid.convergent[k],
+                        grid.period[k]) == want
+
+    def test_lattice_reaches_every_special_case(self):
+        labels = set(phase_grid(*_SMALLEST_LATTICE).labels)
+        assert {Regime.FIRST_ORDER_MONOTONE_CONVERGENT,
+                Regime.SUSTAINED_OSCILLATION, Regime.REPEATED_ROOT_CONVERGENT,
+                Regime.REPEATED_ROOT_DIVERGENT} <= labels
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_ranges())
+    def test_convergent_iff_roots_inside_unit_circle(self, ranges):
+        grid = phase_grid(*ranges)
+        for (k_sd, k_sp), convergent in zip(grid.points(), grid.convergent):
+            modulus = max(abs(np.roots([1.0, k_sd - k_sp - 1.0, k_sp])))
+            if abs(modulus - 1.0) > 1e-6:  # away from the boundaries
+                assert convergent == (modulus < 1.0), (k_sd, k_sp)
 
     def test_stabilization_window_at_ksd_3(self):
         sweep = np.linspace(1e-4, 1.5, 600)

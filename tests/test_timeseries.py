@@ -8,7 +8,7 @@ from bubbledyn import (AlignmentError, DegenerateInputError, DomainError,
                        Frequency, TimeSeries, Window, box_cox, deflate,
                        inverse_box_cox, lagged_cross_correlation,
                        normalize_unit_interval, pearson_correlation)
-from bubbledyn.timeseries import LAMBDA_EPS, ordinal
+from bubbledyn.timeseries import LAMBDA_EPS, align, ordinal
 
 from conftest import annual, monthly
 
@@ -127,6 +127,20 @@ class TestPearson:
         ys = annual([9.0, 2.0, 4.0, 6.0, 8.0], start=(1999, 1))
         # overlap is 2000-2003 on both; ys values there are 2,4,6,8
         assert pearson_correlation(xs, ys) == pytest.approx(1.0)
+
+    def test_align_any_number_of_series(self):
+        xs = annual([1.0, 2.0, 3.0, 4.0], start=(2000, 1))
+        ys = annual([9.0, 2.0, 4.0, 6.0, 8.0], start=(1999, 1))
+        zs = annual([5.0, 6.0, 7.0, 8.0], start=(2001, 1))
+        ax, ay, az, start = align(xs, ys, zs)
+        assert start == (2001, 1)
+        assert ax.tolist() == [2.0, 3.0, 4.0]
+        assert ay.tolist() == [4.0, 6.0, 8.0]
+        assert az.tolist() == [5.0, 6.0, 7.0]
+        ax, ay, start = align(xs, ys)
+        assert start == (2000, 1) and ay.tolist() == [2.0, 4.0, 6.0, 8.0]
+        with pytest.raises(AlignmentError, match="frequency mismatch"):
+            align(xs, ys, monthly([1.0]))
 
 
 class TestNormalize:
