@@ -31,9 +31,9 @@ class CombinedParams:
     switch_index: int
 
     def __post_init__(self):
-        if self.k_sd <= 0:
+        if not self.k_sd > 0:
             raise ValueError("k_sd must be positive")
-        if self.k_sp < 0:
+        if not self.k_sp >= 0:
             raise ValueError("k_sp must be non-negative")
         if self.switch_index < 1:
             raise ValueError("switch_index must be >= 1")

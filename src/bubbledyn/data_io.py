@@ -118,10 +118,12 @@ def _series_rows(series: TimeSeries):
 
 
 def _grid_rows(grid: PhaseGrid):
-    for (k_sd, k_sp), delta, label, period in zip(grid.points(), grid.discriminant,
-                                                  grid.labels, grid.period):
-        yield (repr(k_sd), repr(k_sp), repr(delta), label.value,
-               "" if period is None else repr(period))
+    # each axis value is formatted once, not once per node
+    k_sd = [repr(v) for v in grid.k_sd_axis]
+    k_sp = [repr(v) for v in grid.k_sp_axis]
+    return zip(k_sd * len(k_sp), [sp for sp in k_sp for _ in k_sd],
+               map(repr, grid.discriminant), grid.label_values(),
+               ["" if period is None else repr(period) for period in grid.period])
 
 
 def _to_jsonable(obj):

@@ -6,6 +6,9 @@ dimensions.  Each start runs one trust-region-reflective solve
 Li 1999), which keeps every iterate inside the box, so no bound penalty is
 needed.  Points where the model is undefined return non-finite residuals,
 on which the solver shrinks its step.
+
+``scipy.optimize`` loads at the first fit, not at import: it is most of a
+fresh process's import time, and commands that never fit never import it.
 """
 
 from __future__ import annotations
@@ -14,10 +17,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DegenerateInputError, FitError
 from .timeseries import TimeSeries, align
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

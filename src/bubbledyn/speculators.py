@@ -39,9 +39,9 @@ class SpeculatorParams:
     k_c: float
 
     def __post_init__(self):
-        if self.k_sd <= 0:
+        if not self.k_sd > 0:
             raise ValueError("k_sd must be positive")
-        if self.k_sp < 0:
+        if not self.k_sp >= 0:
             raise ValueError("k_sp must be non-negative")
 
     @property
@@ -180,6 +180,11 @@ _RULE_LABELS = (Regime.REPEATED_ROOT_CONVERGENT, Regime.REPEATED_ROOT_DIVERGENT,
                 Regime.REAL_CONVERGENT, Regime.REAL_DIVERGENT)
 
 
+#: Each regime's label string, keyed by the member's id: per node, both
+#: ``Regime.value`` and ``Enum.__hash__`` run Python code.
+_LABEL_VALUES = {id(regime): regime.value for regime in Regime}
+
+
 def _regimes(k_sd: np.ndarray, k_sp: np.ndarray):
     """The regime rule at every point of two equal-shape float arrays.
 
@@ -248,13 +253,17 @@ class PhaseGrid:
         """(k_sd, k_sp) of every node, row-major."""
         return ((sd, sp) for sp in self.k_sp_axis for sd in self.k_sd_axis)
 
+    def label_values(self) -> list[str]:
+        """The label string of every node, row-major."""
+        return [_LABEL_VALUES[id(label)] for label in self.labels]
+
     def to_dict(self) -> dict:
-        nodes = zip(self.points(), self.discriminant, self.labels, self.period,
-                    self.convergent)
+        nodes = zip(self.points(), self.discriminant, self.label_values(),
+                    self.period, self.convergent)
         return {"k_sd_axis": list(self.k_sd_axis),
                 "k_sp_axis": list(self.k_sp_axis),
                 "nodes": [{"k_sd": sd, "k_sp": sp, "delta": delta,
-                           "label": label.value, "period": period,
+                           "label": label, "period": period,
                            "convergent": convergent}
                           for (sd, sp), delta, label, period, convergent in nodes]}
 

@@ -155,6 +155,7 @@ class TestErrorContract:
         ("phase --ksd nan:5:3 --ksp 0:1:2", EXIT_USAGE),
         ("phase --ksd 0:inf:3 --ksp 0:1:2", EXIT_USAGE),
         ("lagscan --a m60.csv --b m60.csv --max-lag -1", EXIT_USAGE),
+        ("simulate-spec --ksd nan --kc 1 --p0 1 --steps 5", EXIT_USAGE),
     ])
     def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                     argv, code):
@@ -166,6 +167,12 @@ class TestErrorContract:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
         assert set(json.loads(err)) == {"error", "type"}
+
+    def test_nan_parameter_is_named(self, capsys):
+        got, _, err = run(capsys, *"simulate-spec --ksd nan --kc 1 --p0 1 "
+                                   "--steps 5".split())
+        assert got == EXIT_USAGE
+        assert "k_sd" in json.loads(err)["error"]
 
 
 class TestDataDirEnvVar:

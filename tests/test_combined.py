@@ -58,6 +58,12 @@ class TestKcOfT:
                                         rel=1e-10)
 
 
+@pytest.mark.parametrize("name", ["k_sd", "k_sp"])
+def test_params_reject_nan(name):
+    with pytest.raises(ValueError, match=name):
+        CombinedParams(**{**TRUTH, name: math.nan})
+
+
 class TestSimulateCombined:
     def test_constant_markets_contribute_nothing(self):
         n = 40

@@ -21,6 +21,12 @@ def relative_gap(sim: np.ndarray, cf: np.ndarray) -> float:
     return float(np.max(np.abs(sim - cf) / scale))
 
 
+@pytest.mark.parametrize("name", ["k_sd", "k_sp"])
+def test_params_reject_nan(name):
+    with pytest.raises(ValueError, match=name):
+        SpeculatorParams(**{"k_sd": 0.5, "k_sp": 0.5, "k_c": 1.0, name: math.nan})
+
+
 class TestFirstOrder:
     def test_fixed_point(self):
         params = SpeculatorParams(0.4, 0.0, 20.0)
