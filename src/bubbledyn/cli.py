@@ -84,11 +84,12 @@ def _emit(obj, fmt: str, output: str | None) -> None:
         data_io.emit(obj, fmt, output)
 
 
-def _add_output_args(p: argparse.ArgumentParser, default_format: str) -> None:
+def _add_output_args(p: argparse.ArgumentParser, *formats: str) -> None:
+    """The first of ``formats`` is the default."""
     p.add_argument("-o", "--output", default=None,
                    help="destination file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=default_format,
-                   help=f"output format (default: {default_format})")
+    p.add_argument("--format", choices=formats, default=formats[0],
+                   help=f"output format (default: {formats[0]})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-d", type=float, required=True)
     p.add_argument("--alpha-s", type=float, required=True)
     p.add_argument("--beta-s", type=float, required=True)
-    _add_output_args(p, "json")
+    _add_output_args(p, "json", "csv")
 
     p = sub.add_parser("simulate-spec", help="simulate the speculator price "
                        "recurrence")
@@ -118,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=None,
                    help="second initial price (second-order only; default p0)")
     p.add_argument("--steps", type=int, required=True)
-    _add_output_args(p, "csv")
+    _add_output_args(p, "csv", "json")
 
     p = sub.add_parser("phase", help="regime classification over a "
                        "(k_sd, k_sp) grid")
     p.add_argument("--ksd", type=_parse_range, required=True, metavar="LO:HI:N")
     p.add_argument("--ksp", type=_parse_range, required=True, metavar="LO:HI:N")
-    _add_output_args(p, "csv")
+    _add_output_args(p, "csv", "json")
 
     p = sub.add_parser("fit-sd", help="joint supply/demand fit to price and "
                        "consumption")
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--frequency", type=_frequency, default=Frequency.MONTHLY)
-    _add_output_args(p, "csv")
+    _add_output_args(p, "csv", "json")
 
     return parser
 

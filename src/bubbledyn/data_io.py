@@ -60,35 +60,39 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
     path = Path(spec.path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     dates = []
     values = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or spec.date_column not in reader.fieldnames \
-                or spec.value_column not in reader.fieldnames:
-            raise DataError(
-                f"{path}: missing column(s) {spec.date_column!r}/{spec.value_column!r}")
-        for row_no, row in enumerate(reader, start=2):
-            date = _parse_date(row[spec.date_column], spec.frequency, row_no)
-            cell = row[spec.value_column] or ""
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            # float() also takes the digit separators of Python literals
-            if "_" in cell or not math.isfinite(value):
-                raise DataError(f"{path} row {row_no}: non-finite or non-numeric "
-                                f"value {cell!r}")
-            if dates:
-                gap = ordinal(date, spec.frequency) - ordinal(dates[-1], spec.frequency)
-                if gap == 0:
-                    raise DataError(f"{path} row {row_no}: duplicate date")
-                if gap < 0:
-                    raise DataError(f"{path} row {row_no}: dates not increasing")
-                if gap > 1:
-                    raise DataError(f"{path} row {row_no}: gap before this date")
-            dates.append(date)
-            values.append(value)
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None or spec.date_column not in reader.fieldnames \
+            or spec.value_column not in reader.fieldnames:
+        raise DataError(
+            f"{path}: missing column(s) {spec.date_column!r}/{spec.value_column!r}")
+    for row_no, row in enumerate(reader, start=2):
+        date = _parse_date(row[spec.date_column], spec.frequency, row_no)
+        cell = row[spec.value_column] or ""
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        # float() also takes the digit separators of Python literals
+        if "_" in cell or not math.isfinite(value):
+            raise DataError(f"{path} row {row_no}: non-finite or non-numeric "
+                            f"value {cell!r}")
+        if dates:
+            gap = ordinal(date, spec.frequency) - ordinal(dates[-1], spec.frequency)
+            if gap == 0:
+                raise DataError(f"{path} row {row_no}: duplicate date")
+            if gap < 0:
+                raise DataError(f"{path} row {row_no}: dates not increasing")
+            if gap > 1:
+                raise DataError(f"{path} row {row_no}: gap before this date")
+        dates.append(date)
+        values.append(value)
     if not values:
         raise DataError(f"{path}: no data rows")
     if spec.transform is Transform.INVERSE:

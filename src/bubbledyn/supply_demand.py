@@ -9,8 +9,8 @@ a surplus.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,6 +30,9 @@ class SupplyDemandParams:
     beta_s: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.beta_d < 0 or self.beta_s < 0:
             raise ValueError("slopes must be non-negative")
         if self.beta_d + self.beta_s <= 0:
@@ -66,52 +69,34 @@ def shock_update(alpha_d: float, alpha_s: float, surplus_prev: float) -> tuple[f
     return alpha_d, alpha_s
 
 
+def _equilibrium(alpha_d, alpha_s, beta_d: float, beta_s: float):
+    denom = beta_d + beta_s
+    return (alpha_d - alpha_s) / denom, (alpha_d * beta_s + alpha_s * beta_d) / denom
+
+
 def equilibrium(params: SupplyDemandParams) -> tuple[float, float]:
     """Intersection of the two transformed curves: (P_e, Q_e)."""
-    denom = params.beta_d + params.beta_s
-    if denom == 0:
-        raise DegenerateInputError("beta_d + beta_s is zero")
-    p_e = (params.alpha_d - params.alpha_s) / denom
-    q_e = (params.alpha_d * params.beta_s + params.alpha_s * params.beta_d) / denom
-    return p_e, q_e
+    return _equilibrium(params.alpha_d, params.alpha_s, params.beta_d, params.beta_s)
 
 
-def _simulate_transformed(surplus: np.ndarray, lam: float, alpha_d0: float,
-                          beta_d: float, alpha_s0: float, beta_s: float
-                          ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
-    denom = beta_d + beta_s
-    if denom <= 0:
-        raise DegenerateInputError("beta_d + beta_s must be positive")
-    alpha_d, alpha_s = alpha_d0, alpha_s0
-    prices = np.empty(len(surplus))
-    quantities = np.empty(len(surplus))
-    trace = []
-    for t in range(len(surplus)):
-        if t > 0:
-            alpha_d, alpha_s = shock_update(alpha_d, alpha_s, surplus[t - 1])
-        trace.append((alpha_d, alpha_s))
-        prices[t] = (alpha_d - alpha_s) / denom
-        quantities[t] = (alpha_d * beta_s + alpha_s * beta_d) / denom
+def _path(surplus: np.ndarray, params: SupplyDemandParams
+          ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
+    """Prices and quantities in original units, and the intercept trace.
+
+    Raises DomainError where the inverse transform is infeasible."""
+    trace = [(params.alpha_d, params.alpha_s)]
+    for s in surplus[:-1]:
+        trace.append(shock_update(*trace[-1], s))
+    p_tr, q_tr = _equilibrium(*np.array(trace).T, params.beta_d, params.beta_s)
+    prices = np.array([inverse_box_cox(p, params.lam) for p in p_tr])
+    quantities = np.array([inverse_box_cox(q, params.lam) for q in q_tr])
     return prices, quantities, trace
 
 
 def simulate_equilibrium_path(surplus: TimeSeries, params0: SupplyDemandParams) -> EquilibriumPath:
-    """Iterate shock_update + equilibrium over the surplus series.
-
-    Transformed equilibria are mapped back to original units; an infeasible
-    inverse transform reports the offending step.
-    """
-    p_tr, q_tr, trace = _simulate_transformed(
-        surplus.to_array(), params0.lam, params0.alpha_d, params0.beta_d,
-        params0.alpha_s, params0.beta_s)
-    prices = np.empty(len(p_tr))
-    quantities = np.empty(len(q_tr))
-    for t in range(len(p_tr)):
-        try:
-            prices[t] = inverse_box_cox(p_tr[t], params0.lam)
-            quantities[t] = inverse_box_cox(q_tr[t], params0.lam)
-        except DomainError as exc:
-            raise DomainError(f"inverse transform infeasible at step {t}: {exc}") from exc
+    """Iterate shock_update + equilibrium over the surplus series and map the
+    transformed equilibria back to original units."""
+    prices, quantities, trace = _path(surplus.to_array(), params0)
     return EquilibriumPath(
         prices=TimeSeries(surplus.start, surplus.frequency, tuple(prices), "price"),
         quantities=TimeSeries(surplus.start, surplus.frequency, tuple(quantities), "quantity"),
@@ -176,16 +161,14 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
     scale_p = 1.0 / np.sqrt(var_p * len(pv))
     scale_q = 1.0 / np.sqrt(var_q * len(qv))
 
+    def _params(lam: float, beta_d: float, beta_s: float) -> SupplyDemandParams:
+        alpha_d0, alpha_s0 = _determined_params(lam, beta_d, beta_s, p0_raw, q0_raw)
+        return SupplyDemandParams(lam, alpha_d0, beta_d, alpha_s0, beta_s)
+
     def residuals(v: np.ndarray) -> np.ndarray:
-        lam, beta_d, beta_s = v
-        alpha_d0, alpha_s0 = _determined_params(lam, beta_d, beta_s,
-                                                p0_raw, q0_raw)
-        p_tr, q_tr, _ = _simulate_transformed(sv, lam, alpha_d0, beta_d,
-                                              alpha_s0, beta_s)
         try:
-            p_mod = np.array([inverse_box_cox(p, lam) for p in p_tr])
-            q_mod = np.array([inverse_box_cox(q, lam) for q in q_tr])
-        except (DomainError, OverflowError):
+            p_mod, q_mod, _ = _path(sv, _params(*v))
+        except DomainError:
             return np.full(len(pv) + len(qv), np.nan)
         return np.concatenate([(pv - p_mod) * scale_p, (qv - q_mod) * scale_q])
 
@@ -194,9 +177,7 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
                                     (0.3, 1.5)))
     report = fitting.minimize(residuals, starts, bounds)
 
-    lam, beta_d, beta_s = report.parameter_vector
-    alpha_d0, alpha_s0 = _determined_params(lam, beta_d, beta_s, p0_raw, q0_raw)
-    params = SupplyDemandParams(lam, alpha_d0, beta_d, alpha_s0, beta_s)
+    params = _params(*report.parameter_vector)
     surplus_common = TimeSeries(start, surplus.frequency, tuple(sv), surplus.label)
     path = simulate_equilibrium_path(surplus_common, params)
     obs_price = TimeSeries(start, price.frequency, tuple(pv), price.label)

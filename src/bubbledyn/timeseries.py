@@ -146,14 +146,23 @@ def box_cox(x: float, lam: float) -> float:
 
 
 def inverse_box_cox(y: float, lam: float) -> float:
-    """Exact inverse of :func:`box_cox`."""
+    """Exact inverse of :func:`box_cox`; DomainError where it is infeasible
+    or leaves the finite floats."""
     if abs(lam) < LAMBDA_EPS:
-        return math.exp(y)
-    base = lam * y + 1.0
-    if base <= 0:
-        raise DomainError(f"inverse_box_cox infeasible: lam*y + 1 = {base} <= 0")
-    # log1p keeps the exponent accurate when lam * y is tiny
-    return math.exp(math.log1p(lam * y) / lam)
+        exponent = y
+    else:
+        base = lam * y + 1.0
+        if base <= 0:
+            raise DomainError(f"inverse_box_cox infeasible: lam*y + 1 = {base} <= 0")
+        # log1p keeps the exponent accurate when lam * y is tiny
+        exponent = math.log1p(lam * y) / lam
+    try:
+        x = math.exp(exponent)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"inverse_box_cox of {y} at lam = {lam} is not finite")
+    return x
 
 
 def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -74,6 +74,23 @@ class TestPhase:
         assert exc.value.code == 2
 
 
+class TestSimulateSd:
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "b3098694dde318be53961441fa881b0cc6c5a5f158e42f6b852815a37a475958"),
+        ("json", "3e7db60bc67544c6f8a22a27569e5d5cc333dee84a66d7ddb5676331392bdcde"),
+    ])
+    def test_output_bytes(self, capsys, tmp_path, fmt, digest):
+        surplus = [0.0, -3.5, 2.25, 1.0, -0.75, 4.0, -2.0, 0.5, -6.125, 3.0]
+        (tmp_path / "s.csv").write_text("date,value\n" + "".join(
+            f"{1990 + i},{v!r}\n" for i, v in enumerate(surplus)))
+        code, out, _ = run(capsys, "simulate-sd", "--surplus",
+                           str(tmp_path / "s.csv"), "--lambda=0.8",
+                           "--alpha-d=114", "--beta-d=1.0", "--alpha-s=50",
+                           "--beta-s=0.91", "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestFitCombinedCommand:
     def test_end_to_end_on_synthetic_files(self, capsys, tmp_path):
         from test_combined import TRUTH, make_food
@@ -156,12 +173,23 @@ class TestErrorContract:
         ("phase --ksd 0:inf:3 --ksp 0:1:2", EXIT_USAGE),
         ("lagscan --a m60.csv --b m60.csv --max-lag -1", EXIT_USAGE),
         ("simulate-spec --ksd nan --kc 1 --p0 1 --steps 5", EXIT_USAGE),
+        ("simulate-sd --surplus s.csv --lambda=0.01 --alpha-d=1e6 --beta-d=1 "
+         "--alpha-s=0 --beta-s=1", EXIT_DATA),  # back-transform overflows
+        ("simulate-sd --surplus s.csv --lambda=0 --alpha-d=1e6 --beta-d=1 "
+         "--alpha-s=0 --beta-s=1", EXIT_DATA),
+        ("simulate-sd --surplus s.csv --lambda=nan --alpha-d=1 --beta-d=1 "
+         "--alpha-s=0 --beta-s=1", EXIT_USAGE),
+        ("correlate --a somedir --b m60.csv --frequency monthly", EXIT_DATA),
+        ("correlate --a latin1.csv --b m60.csv --frequency monthly", EXIT_DATA),
     ])
     def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                     argv, code):
         monkeypatch.chdir(tmp_path)
         write_series_csv(tmp_path / "m60.csv", 100.0 + np.arange(60.0))
         (tmp_path / "nan.csv").write_text("date,value\n2004-01,1\n2004-02,nan\n")
+        (tmp_path / "s.csv").write_text("date,value\n1990,0\n1991,-1\n")
+        (tmp_path / "latin1.csv").write_bytes(b"date,value\n2004-01,1\xb5\n")
+        (tmp_path / "somedir").mkdir()
         got, out, err = run(capsys, *argv.split())
         assert got == code
         assert out == ""
@@ -173,6 +201,23 @@ class TestErrorContract:
                                    "--steps 5".split())
         assert got == EXIT_USAGE
         assert "k_sd" in json.loads(err)["error"]
+
+    def test_nan_sd_parameter_is_named(self, capsys, tmp_path):
+        (tmp_path / "s.csv").write_text("date,value\n1990,0\n1991,-1\n")
+        got, _, err = run(capsys, "simulate-sd", "--surplus", str(tmp_path / "s.csv"),
+                          "--lambda=nan", "--alpha-d=1", "--beta-d=1",
+                          "--alpha-s=0", "--beta-s=1")
+        assert got == EXIT_USAGE
+        assert "lam" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command", ["fit-sd", "fit-ethanol", "fit-combined",
+                                         "correlate"])
+    def test_json_only_command_rejects_csv(self, capsys, command):
+        # argparse rejects the choice before any input is read
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "csv"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestDataDirEnvVar:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubbledyn import (DegenerateInputError, SupplyDemandParams, box_cox,
                        equilibrium, fit_supply_demand, shock_update,
@@ -65,6 +68,15 @@ class TestEquilibrium:
     def test_zero_slopes_rejected(self):
         with pytest.raises(ValueError):
             SupplyDemandParams(1.0, 10.0, 0.0, 5.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["lam", "alpha_d", "beta_d", "alpha_s",
+                                       "beta_s"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_reject_nonfinite(self, field, bad):
+        values = dict(lam=1.0, alpha_d=10.0, beta_d=1.0, alpha_s=5.0, beta_s=1.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            SupplyDemandParams(**values)
 
 
 class TestSimulate:
@@ -150,6 +162,29 @@ class TestFit:
         for key in ("lambda", "alpha_d0", "beta_d", "alpha_s0", "beta_s",
                     "r2_price", "r2_consumption"):
             assert key in payload
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_reported_path_is_simulate_equilibrium_path(self, seed, noisy):
+        rng = np.random.default_rng(seed)
+        truth = SupplyDemandParams(rng.uniform(0.75, 1.05), 300.0,
+                                   rng.uniform(0.5, 2.5), 150.0,
+                                   rng.uniform(0.3, 1.5))
+        surplus = annual(rng.normal(scale=8.0, size=15), start=(1982, 1))
+        path = simulate_equilibrium_path(surplus, truth)
+        price, cons = path.prices.to_array(), path.quantities.to_array()
+        if noisy:
+            price[1:] *= 1.0 + rng.normal(0.0, 0.01, len(price) - 1)
+            cons[1:] *= 1.0 + rng.normal(0.0, 0.01, len(cons) - 1)
+        fit = fit_supply_demand(path.prices.with_values(price),
+                                path.quantities.with_values(cons), surplus)
+        again = simulate_equilibrium_path(surplus, fit.params)
+        assert fit.path.prices.values == again.prices.values
+        assert fit.path.quantities.values == again.quantities.values
+        assert fit.path.intercept_trace == again.intercept_trace
+        assert fit.residual_price.values == tuple(price - again.prices.to_array())
+        assert fit.residual_consumption.values \
+            == tuple(cons - again.quantities.to_array())
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DegenerateInputError):

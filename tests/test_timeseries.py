@@ -75,6 +75,11 @@ class TestBoxCox:
         with pytest.raises(DomainError):
             inverse_box_cox(-3.0, 0.5)
 
+    @pytest.mark.parametrize("y, lam", [(1e6, 0.01), (1e6, 0.0), (math.inf, 1.0)])
+    def test_inverse_overflow_is_domain_error(self, y, lam):
+        with pytest.raises(DomainError):
+            inverse_box_cox(y, lam)
+
     @given(st.floats(0.01, 1000.0), st.floats(-2.0, 2.0))
     def test_roundtrip(self, x, lam):
         assert inverse_box_cox(box_cox(x, lam), lam) == pytest.approx(x, rel=1e-10)
