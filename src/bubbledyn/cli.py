@@ -92,8 +92,23 @@ def _add_output_args(p: argparse.ArgumentParser, *formats: str) -> None:
                    help=f"output format (default: {formats[0]})")
 
 
+def _report(message: str, kind: str) -> None:
+    """Write one error as a one-line JSON object to stderr."""
+    json.dump({"error": message, "type": kind}, sys.stderr)
+    sys.stderr.write("\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one JSON line, like every
+    other error of the CLI; its subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        _report(message, "UsageError")
+        raise SystemExit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bubbledyn",
         description="Commodity-price dynamics: supply/demand, ethanol and "
                     "speculator models.")
@@ -275,8 +290,7 @@ def main(argv=None) -> int:
         return _run(args)
     except (BubbledynError, ValueError) as exc:
         code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-        json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
-        sys.stderr.write("\n")
+        _report(str(exc), type(exc).__name__)
         return code
 
 

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Union
 
@@ -116,6 +117,11 @@ def _format_date(date: tuple[int, int], frequency: Frequency) -> str:
     return f"{year:04d}"
 
 
+#: Rows joined into one string per write of a CSV emit; joining the whole
+#: output at once would add its size to the peak memory.
+_CHUNK_ROWS = 4096
+
+
 def _series_rows(series: TimeSeries):
     for i, v in enumerate(series.values):
         yield _format_date(series.date_at(i), series.frequency), repr(v)
@@ -128,6 +134,18 @@ def _grid_rows(grid: PhaseGrid):
     return zip(k_sd * len(k_sp), [sp for sp in k_sp for _ in k_sd],
                map(repr, grid.discriminant), grid.label_values(),
                ["" if period is None else repr(period) for period in grid.period])
+
+
+def _csv_layout(obj):
+    """The header and the rows of ``obj``'s CSV layout, every field a string
+    that needs no quoting."""
+    if isinstance(obj, TimeSeries):
+        return ("date", "value"), _series_rows(obj)
+    if isinstance(obj, PhaseGrid):
+        return ("k_sd", "k_sp", "delta", "label", "period"), _grid_rows(obj)
+    if isinstance(obj, LagScan):
+        return ("lag", "rho"), ((str(lag), repr(rho)) for lag, rho in obj.entries)
+    raise TypeError(f"no CSV layout for {type(obj).__name__}; use json")
 
 
 def _to_jsonable(obj):
@@ -153,18 +171,12 @@ def _write(obj, fmt: str, fh) -> None:
         json.dump(_to_jsonable(obj), fh, indent=2)
         fh.write("\n")
     elif fmt == "csv":
-        writer = csv.writer(fh)
-        if isinstance(obj, TimeSeries):
-            writer.writerow(["date", "value"])
-            writer.writerows(_series_rows(obj))
-        elif isinstance(obj, PhaseGrid):
-            writer.writerow(["k_sd", "k_sp", "delta", "label", "period"])
-            writer.writerows(_grid_rows(obj))
-        elif isinstance(obj, LagScan):
-            writer.writerow(["lag", "rho"])
-            writer.writerows((lag, repr(rho)) for lag, rho in obj.entries)
-        else:
-            raise TypeError(f"no CSV layout for {type(obj).__name__}; use json")
+        # the bytes csv.writer would write, streamed a chunk of rows at a time
+        header, rows = _csv_layout(obj)
+        fh.write(",".join(header) + "\r\n")
+        lines = map(",".join, rows)
+        while chunk := list(islice(lines, _CHUNK_ROWS)):
+            fh.write("\r\n".join(chunk) + "\r\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -208,9 +208,13 @@ def _regimes(k_sd: np.ndarray, k_sp: np.ndarray):
     case = np.select([repeated, sustained, oscillating, first_order & (ratio >= 0),
                       first_order], [0, 2, 4, 6, 8], 10)
     period = np.full(delta.shape, None, dtype=object)
+    # oscillation_theta at every oscillating node; delta < 0 keeps the
+    # argument of sqrt non-negative
+    b_osc = b[oscillating]
+    sin_theta = np.sqrt(1.0 - b_osc * b_osc / (4.0 * k_sp[oscillating]))
     # math.asin, not np.arcsin: the two differ in the last bit on some nodes
-    period[oscillating] = [2.0 * math.pi / oscillation_theta(sd, sp) for sd, sp
-                           in zip(k_sd[oscillating].tolist(), k_sp[oscillating].tolist())]
+    theta = np.array(list(map(math.asin, sin_theta.tolist())), dtype=float)
+    period[oscillating] = (2.0 * math.pi / theta).tolist()
     return delta, case + ~convergent, convergent, period
 
 

@@ -153,8 +153,11 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
         raise DegenerateInputError("need at least 5 aligned observations")
     if np.any(pv <= 0) or np.any(qv <= 0):
         raise DomainError("prices and consumption must be positive")
-    var_p = float(np.var(pv))
-    var_q = float(np.var(qv))
+    with np.errstate(over="ignore"):
+        var_p = float(np.var(pv))
+        var_q = float(np.var(qv))
+    if not (math.isfinite(var_p) and math.isfinite(var_q)):
+        raise DomainError("the variance of the observed series overflows")
     if var_p == 0 or var_q == 0:
         raise DegenerateInputError("constant observed series")
     p0_raw, q0_raw = float(pv[0]), float(qv[0])

@@ -136,13 +136,20 @@ def align(*series: TimeSeries) -> tuple:
 
 def box_cox(x: float, lam: float) -> float:
     """Power transform (x**lam - 1)/lam, continuously extended to ln(x) at
-    lam = 0."""
+    lam = 0; DomainError where x <= 0 or the result leaves the finite floats."""
     if x <= 0:
         raise DomainError(f"box_cox requires x > 0, got {x}")
     if abs(lam) < LAMBDA_EPS:
-        return math.log(x)
-    # expm1 avoids cancellation for small lam * ln(x)
-    return math.expm1(lam * math.log(x)) / lam
+        y = math.log(x)
+    else:
+        try:
+            # expm1 avoids cancellation for small lam * ln(x)
+            y = math.expm1(lam * math.log(x)) / lam
+        except OverflowError:
+            y = math.inf
+    if not math.isfinite(y):
+        raise DomainError(f"box_cox of {x} at lam = {lam} is not finite")
+    return y
 
 
 def inverse_box_cox(y: float, lam: float) -> float:

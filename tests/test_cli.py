@@ -1,11 +1,13 @@
+import csv
 import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bubbledyn import pearson_correlation
+from bubbledyn import pearson_correlation, phase_grid
 from bubbledyn.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                            default_bubble_windows, main,
                            switch_candidates_for_year)
@@ -49,6 +51,14 @@ class TestSimulateSpec:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_output_bytes(self, capsys):
+        code, out, _ = run(capsys, "simulate-spec", "--ksd", "0.3", "--kc", "9",
+                           "--ksp", "1.1", "--p0", "30", "--p1", "31",
+                           "--steps", "20")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "f831bf2dc63785cf32807c6fa78dc165ad99e14580fc92fe2a7ab6413c944efc"
+
 
 class TestPhase:
     def test_grid_line_count(self, capsys, tmp_path):
@@ -67,6 +77,22 @@ class TestPhase:
                            "--format", fmt)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_csv_matches_csv_writer(self, capsys, tmp_path):
+        # 4,900 rows: more than one chunk of the emit
+        dest = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "phase", "--ksd", "0:5:70", "--ksp", "0:2:70",
+                         "-o", str(dest))
+        assert code == EXIT_OK
+        grid = phase_grid((0.0, 5.0, 70), (0.0, 2.0, 70))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["k_sd", "k_sp", "delta", "label", "period"])
+        for (sd, sp), delta, label, period in zip(
+                grid.points(), grid.discriminant, grid.labels, grid.period):
+            writer.writerow([repr(sd), repr(sp), repr(delta), label.value,
+                             "" if period is None else repr(period)])
+        assert dest.read_bytes() == expected.getvalue().encode()
 
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -159,6 +185,17 @@ class TestCorrelateAndLagscan:
         rhos = {int(lag): float(rho) for lag, rho in rows}
         assert rhos[3] == pytest.approx(1.0, abs=1e-12)
 
+    def test_lagscan_output_bytes(self, capsys, tmp_path):
+        write_series_csv(tmp_path / "a.csv", [1.0, 2.5, 0.25, 4.0, 3.5, -1.0,
+                                              2.0, 0.5, 6.0, 1.5, 2.25, 3.0])
+        write_series_csv(tmp_path / "b.csv", [0.5, 1.0, 3.0, 0.75, 4.5, 2.0, -0.5,
+                                              2.5, 1.0, 5.5, 2.0, 1.25, 3.5])
+        code, out, _ = run(capsys, "lagscan", "--a", str(tmp_path / "a.csv"),
+                           "--b", str(tmp_path / "b.csv"), "--max-lag", "4")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "20ea0954e2140b14ab23322abff412bd148769e2977641bc6c1b90d39e25aa4d"
+
 
 class TestErrorContract:
     @pytest.mark.parametrize("argv, code", [
@@ -195,6 +232,36 @@ class TestErrorContract:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
         assert set(json.loads(err)) == {"error", "type"}
+
+    @pytest.mark.parametrize("argv", [
+        "correlate --a x --b y --format csv",
+        "phase --ksd 0:5 --ksp 0:2:10",
+    ])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        error = json.loads(captured.err)
+        assert set(error) == {"error", "type"}
+        assert error["type"] == "UsageError"
+
+    def test_huge_fit_sd_input_is_data_error(self, capsys, tmp_path):
+        # the observed variance overflows; box_cox of the first point would
+        # too once lambda exceeds about 1.03
+        (tmp_path / "big.csv").write_text("date,value\n" + "".join(
+            f"{1990 + i},{1e300 * (1 + i / 5)!r}\n" for i in range(6)))
+        (tmp_path / "s.csv").write_text(
+            "date,value\n" + "".join(f"{1990 + i},{v}\n" for i, v in
+                                      enumerate([0.5, -1, 2, -0.5, 1, 0])))
+        got, out, err = run(capsys, "fit-sd", "--price", str(tmp_path / "big.csv"),
+                            "--consumption", str(tmp_path / "big.csv"),
+                            "--surplus", str(tmp_path / "s.csv"))
+        assert got == EXIT_DATA
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["type"] == "DomainError"
 
     def test_nan_parameter_is_named(self, capsys):
         got, _, err = run(capsys, *"simulate-spec --ksd nan --kc 1 --p0 1 "

@@ -343,3 +343,16 @@ class TestPhaseGrid:
         # contiguous interval: every sampled point between the ends converges
         inside = [k for k in sweep if min(convergent) <= k <= max(convergent)]
         assert all(classify(3.0, float(k)).convergent for k in inside)
+
+    def test_paper_grid_periods_are_exact(self):
+        grid = phase_grid((0.0, 5.0, 300), (0.0, 2.0, 300))
+        oscillating = 0
+        for (k_sd, k_sp), delta, period in zip(grid.points(), grid.discriminant,
+                                               grid.period):
+            if period is None:
+                continue
+            oscillating += 1
+            assert delta < 0
+            assert period == 2.0 * math.pi / oscillation_theta(k_sd, k_sp), \
+                (k_sd, k_sp)
+        assert oscillating == 65_819

@@ -80,6 +80,13 @@ class TestBoxCox:
         with pytest.raises(DomainError):
             inverse_box_cox(y, lam)
 
+    @pytest.mark.parametrize("x, lam", [(1e300, 1.1), (1e-300, -1.1),
+                                        (math.inf, 1.0), (math.inf, 0.0),
+                                        (math.nan, 0.5)])
+    def test_overflow_is_domain_error(self, x, lam):
+        with pytest.raises(DomainError):
+            box_cox(x, lam)
+
     @given(st.floats(0.01, 1000.0), st.floats(-2.0, 2.0))
     def test_roundtrip(self, x, lam):
         assert inverse_box_cox(box_cox(x, lam), lam) == pytest.approx(x, rel=1e-10)
