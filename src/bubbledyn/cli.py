@@ -73,17 +73,6 @@ def _parse_window(text: str) -> Window:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _frequency(name: str) -> Frequency:
-    return Frequency(name)
-
-
-def _emit(obj, fmt: str, output: str | None) -> None:
-    if output is None:
-        data_io.emit(obj, fmt, sys.stdout)
-    else:
-        data_io.emit(obj, fmt, output)
-
-
 def _add_output_args(p: argparse.ArgumentParser, *formats: str) -> None:
     """The first of ``formats`` is the default."""
     p.add_argument("-o", "--output", default=None,
@@ -117,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-sd", help="simulate the equilibrium path "
                        "driven by a surplus series")
     p.add_argument("--surplus", required=True, help="surplus CSV")
-    p.add_argument("--frequency", type=_frequency, default=Frequency.ANNUAL)
+    p.add_argument("--frequency", type=Frequency, default=Frequency.ANNUAL)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--alpha-d", type=float, required=True)
     p.add_argument("--beta-d", type=float, required=True)
@@ -147,14 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--price", required=True)
     p.add_argument("--consumption", required=True)
     p.add_argument("--surplus", required=True)
-    p.add_argument("--frequency", type=_frequency, default=Frequency.ANNUAL)
+    p.add_argument("--frequency", type=Frequency, default=Frequency.ANNUAL)
     _add_output_args(p, "json")
 
     p = sub.add_parser("fit-ethanol", help="compare quadratic trends of "
                        "ethanol and food-price series")
     p.add_argument("--ethanol", required=True)
     p.add_argument("--food", required=True)
-    p.add_argument("--frequency", type=_frequency, default=Frequency.ANNUAL)
+    p.add_argument("--frequency", type=Frequency, default=Frequency.ANNUAL)
     p.add_argument("--exclude", type=_parse_window, default=None,
                    metavar="BEGIN:END",
                    help="index window of the food series to exclude")
@@ -177,57 +166,51 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="Pearson correlation of two series")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--frequency", type=_frequency, default=Frequency.ANNUAL)
+    p.add_argument("--frequency", type=Frequency, default=Frequency.ANNUAL)
     _add_output_args(p, "json")
 
     p = sub.add_parser("lagscan", help="lagged cross-correlation sweep")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--max-lag", type=int, required=True)
-    p.add_argument("--frequency", type=_frequency, default=Frequency.MONTHLY)
+    p.add_argument("--frequency", type=Frequency, default=Frequency.MONTHLY)
     _add_output_args(p, "csv", "json")
 
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace):
+    """The result of the command ``args`` names, ready for ``data_io.emit``."""
     if args.command == "simulate-sd":
         surplus = _load(args.surplus, args.frequency, "surplus")
         params = supply_demand.SupplyDemandParams(
             args.lam, args.alpha_d, args.beta_d, args.alpha_s, args.beta_s)
         path = supply_demand.simulate_equilibrium_path(surplus, params)
-        obj = path.prices if args.format == "csv" else path
-        _emit(obj, args.format, args.output)
+        return path.prices if args.format == "csv" else path
 
-    elif args.command == "simulate-spec":
+    if args.command == "simulate-spec":
         params = speculators.SpeculatorParams(args.ksd, args.ksp, args.kc)
         if args.ksp == 0 and args.p1 is None:
-            series = speculators.simulate_first_order(params, args.p0, args.steps)
-        else:
-            p1 = args.p0 if args.p1 is None else args.p1
-            series = speculators.simulate_second_order(params, args.p0, p1,
-                                                       args.steps)
-        _emit(series, args.format, args.output)
+            return speculators.simulate_first_order(params, args.p0, args.steps)
+        p1 = args.p0 if args.p1 is None else args.p1
+        return speculators.simulate_second_order(params, args.p0, p1, args.steps)
 
-    elif args.command == "phase":
-        grid = speculators.phase_grid(args.ksd, args.ksp)
-        _emit(grid, args.format, args.output)
+    if args.command == "phase":
+        return speculators.phase_grid(args.ksd, args.ksp)
 
-    elif args.command == "fit-sd":
-        fit = supply_demand.fit_supply_demand(
+    if args.command == "fit-sd":
+        return supply_demand.fit_supply_demand(
             _load(args.price, args.frequency, "price"),
             _load(args.consumption, args.frequency, "consumption"),
             _load(args.surplus, args.frequency, "surplus"))
-        _emit(fit, "json", args.output)
 
-    elif args.command == "fit-ethanol":
-        report = ethanol.trend_comparison(
+    if args.command == "fit-ethanol":
+        return ethanol.trend_comparison(
             _load(args.ethanol, args.frequency, "ethanol"),
             _load(args.food, args.frequency, "food"),
             exclude_b=args.exclude)
-        _emit(report, "json", args.output)
 
-    elif args.command == "fit-combined":
+    if args.command == "fit-combined":
         food = _load(args.food, Frequency.MONTHLY, "food")
         markets = [_load(m, Frequency.MONTHLY) for m in args.market]
         if args.exclude_window is not None:
@@ -236,48 +219,30 @@ def _run(args: argparse.Namespace) -> int:
             windows = default_bubble_windows(food)
         trend = ethanol.quadratic_fit(food, windows)
         candidates = switch_candidates_for_year(food, args.switch_year)
-        fit = combined.fit_combined(food, markets, trend, candidates)
-        _emit(fit, "json", args.output)
+        return combined.fit_combined(food, markets, trend, candidates)
 
-    elif args.command == "correlate":
-        rho = timeseries.pearson_correlation(
-            _load(args.a, args.frequency), _load(args.b, args.frequency))
-        _emit({"rho": rho}, "json", args.output)
+    if args.command == "correlate":
+        return {"rho": timeseries.pearson_correlation(
+            _load(args.a, args.frequency), _load(args.b, args.frequency))}
 
-    elif args.command == "lagscan":
-        scan = timeseries.lagged_cross_correlation(
-            _load(args.a, args.frequency), _load(args.b, args.frequency),
-            args.max_lag)
-        _emit(scan, args.format, args.output)
-
-    return EXIT_OK
+    # lagscan
+    return timeseries.lagged_cross_correlation(
+        _load(args.a, args.frequency), _load(args.b, args.frequency),
+        args.max_lag)
 
 
 def default_bubble_windows(food: timeseries.TimeSeries) -> list[Window]:
     """Index windows of the 2007-08 peak and the 2010-11 bubble, clipped to
     the series span."""
-    windows = []
-    span_end = food.start_ordinal + len(food)
-    for begin, end in (((2007, 1), (2009, 1)), ((2010, 6), None)):
-        b_ord = timeseries.ordinal(begin, food.frequency)
-        e_ord = span_end if end is None else timeseries.ordinal(end, food.frequency)
-        b = max(b_ord, food.start_ordinal) - food.start_ordinal
-        e = min(e_ord, span_end) - food.start_ordinal
-        if e > b >= 0:
-            windows.append(Window(b, e))
-    return windows
+    spans = (food.indices_between(begin, end)
+             for begin, end in (((2007, 1), (2009, 1)), ((2010, 6), None)))
+    return [Window(span.start, span.stop) for span in spans if span]
 
 
 def switch_candidates_for_year(food: timeseries.TimeSeries, year: int) -> list[int]:
-    """Month indices of the given calendar year that lie inside the series."""
-    candidates = []
-    for month in range(1, 13):
-        try:
-            idx = food.index_of((year, month))
-        except IndexError:
-            continue
-        if idx >= 1:
-            candidates.append(idx)
+    """Indices of the given calendar year that lie inside the series, each
+    once, leaving out index 0."""
+    candidates = [i for i in food.indices_between((year, 1), (year + 1, 1)) if i >= 1]
     if not candidates:
         raise DataError(f"series does not cover any month of {year}")
     return candidates
@@ -287,11 +252,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        data_io.emit(_run(args), args.format,
+                     sys.stdout if args.output is None else args.output)
     except (BubbledynError, ValueError) as exc:
         code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
         _report(str(exc), type(exc).__name__)
         return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ import numpy as np
 from . import fitting
 from .errors import AlignmentError, DegenerateInputError
 from .ethanol import QuadraticTrend
-from .speculators import RegimeClassification, classify, iterate
-from .timeseries import Frequency, TimeSeries
+from .speculators import RegimeClassification, check_domain, classify, iterate
+from .timeseries import Frequency, TimeSeries, format_date
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,7 @@ class CombinedParams:
     switch_index: int
 
     def __post_init__(self):
-        if not self.k_sd > 0:
-            raise ValueError("k_sd must be positive")
-        if not self.k_sp >= 0:
-            raise ValueError("k_sp must be non-negative")
+        check_domain(self.k_sd, self.k_sp)
         if self.switch_index < 1:
             raise ValueError("switch_index must be >= 1")
 
@@ -123,7 +120,6 @@ class CombinedFit:
     regime: RegimeClassification
 
     def to_dict(self) -> dict:
-        year, month = self.switch_date
         return {
             "k_sd": self.params.k_sd,
             "k_sp": self.params.k_sp,
@@ -131,11 +127,11 @@ class CombinedFit:
             "trend_a": self.params.trend_a,
             "trend_b": self.params.trend_b,
             "switch_index": self.params.switch_index,
-            "switch_date": f"{year:04d}-{month:02d}",
+            "switch_date": format_date(self.switch_date, Frequency.MONTHLY),
             "sse": self.sse,
             "r2": self.r2,
             "period": self.regime.period,
-            "regime": self.regime.label.value,
+            "regime": self.regime.label,
             "converged": self.report.converged,
             "evaluations": self.report.evaluations,
         }

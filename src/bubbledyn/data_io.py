@@ -19,7 +19,8 @@ from typing import Union
 
 from .errors import DataError, DomainError
 from .speculators import PhaseGrid
-from .timeseries import Frequency, LagScan, TimeSeries, align, ordinal
+from .timeseries import (Frequency, LagScan, TimeSeries, align, format_date,
+                         ordinal)
 
 _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _ANNUAL_RE = re.compile(r"^(\d{4})(?:-01)?$")
@@ -110,13 +111,6 @@ def derive_surplus(production: TimeSeries, consumption: TimeSeries) -> TimeSerie
                       tuple(p - c for p, c in zip(pv, cv)), "surplus")
 
 
-def _format_date(date: tuple[int, int], frequency: Frequency) -> str:
-    year, month = date
-    if frequency is Frequency.MONTHLY:
-        return f"{year:04d}-{month:02d}"
-    return f"{year:04d}"
-
-
 #: Rows joined into one string per write of a CSV emit; joining the whole
 #: output at once would add its size to the peak memory.
 _CHUNK_ROWS = 4096
@@ -124,7 +118,7 @@ _CHUNK_ROWS = 4096
 
 def _series_rows(series: TimeSeries):
     for i, v in enumerate(series.values):
-        yield _format_date(series.date_at(i), series.frequency), repr(v)
+        yield format_date(series.date_at(i), series.frequency), repr(v)
 
 
 def _grid_rows(grid: PhaseGrid):
@@ -132,7 +126,7 @@ def _grid_rows(grid: PhaseGrid):
     k_sd = [repr(v) for v in grid.k_sd_axis]
     k_sp = [repr(v) for v in grid.k_sp_axis]
     return zip(k_sd * len(k_sp), [sp for sp in k_sp for _ in k_sd],
-               map(repr, grid.discriminant), grid.label_values(),
+               map(repr, grid.discriminant), grid.labels,
                ["" if period is None else repr(period) for period in grid.period])
 
 
@@ -148,27 +142,11 @@ def _csv_layout(obj):
     raise TypeError(f"no CSV layout for {type(obj).__name__}; use json")
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, TimeSeries):
-        return {
-            "start": _format_date(obj.start, obj.frequency),
-            "frequency": obj.frequency.value,
-            "label": obj.label,
-            "values": list(obj.values),
-        }
-    if isinstance(obj, LagScan):
-        return {"entries": [{"lag": lag, "rho": rho} for lag, rho in obj.entries],
-                "omitted": list(obj.omitted)}
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    if isinstance(obj, dict):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _write(obj, fmt: str, fh) -> None:
     if fmt == "json":
-        json.dump(_to_jsonable(obj), fh, indent=2)
+        if not (isinstance(obj, dict) or hasattr(obj, "to_dict")):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        json.dump(obj if isinstance(obj, dict) else obj.to_dict(), fh, indent=2)
         fh.write("\n")
     elif fmt == "csv":
         # the bytes csv.writer would write, streamed a chunk of rows at a time

@@ -25,6 +25,14 @@ DELTA_EPS = 1e-12
 KSP_TOL = 1e-9
 
 
+def check_domain(k_sd: float, k_sp: float) -> None:
+    """ValueError unless k_sd > 0 and k_sp >= 0; NaN fails both."""
+    if not k_sd > 0:
+        raise ValueError("k_sd must be positive")
+    if not k_sp >= 0:
+        raise ValueError("k_sp must be non-negative")
+
+
 @dataclass(frozen=True)
 class SpeculatorParams:
     """Reduced parameters of the price recurrence.
@@ -39,17 +47,16 @@ class SpeculatorParams:
     k_c: float
 
     def __post_init__(self):
-        if not self.k_sd > 0:
-            raise ValueError("k_sd must be positive")
-        if not self.k_sp >= 0:
-            raise ValueError("k_sp must be non-negative")
+        check_domain(self.k_sd, self.k_sp)
 
     @property
     def equilibrium_price(self) -> float:
         return self.k_c / self.k_sd
 
 
-class Regime(Enum):
+class Regime(str, Enum):
+    """A regime label; each member is its own label string."""
+
     FIRST_ORDER_MONOTONE_CONVERGENT = "FirstOrderMonotoneConvergent"
     FIRST_ORDER_MONOTONE_DIVERGENT = "FirstOrderMonotoneDivergent"
     FIRST_ORDER_ALTERNATING = "FirstOrderAlternating"
@@ -180,11 +187,6 @@ _RULE_LABELS = (Regime.REPEATED_ROOT_CONVERGENT, Regime.REPEATED_ROOT_DIVERGENT,
                 Regime.REAL_CONVERGENT, Regime.REAL_DIVERGENT)
 
 
-#: Each regime's label string, keyed by the member's id: per node, both
-#: ``Regime.value`` and ``Enum.__hash__`` run Python code.
-_LABEL_VALUES = {id(regime): regime.value for regime in Regime}
-
-
 def _regimes(k_sd: np.ndarray, k_sp: np.ndarray):
     """The regime rule at every point of two equal-shape float arrays.
 
@@ -220,10 +222,7 @@ def _regimes(k_sd: np.ndarray, k_sp: np.ndarray):
 
 def classify(k_sd: float, k_sp: float) -> RegimeClassification:
     """Discriminant, characteristic roots, and regime label at one point."""
-    if not k_sd > 0:
-        raise ValueError("k_sd must be positive")
-    if not k_sp >= 0:
-        raise ValueError("k_sp must be non-negative")
+    check_domain(k_sd, k_sp)
     delta, code, convergent, period = (
         v[0] for v in _regimes(np.array([k_sd], float), np.array([k_sp], float)))
     label, delta = _RULE_LABELS[code], float(delta)
@@ -257,12 +256,8 @@ class PhaseGrid:
         """(k_sd, k_sp) of every node, row-major."""
         return ((sd, sp) for sp in self.k_sp_axis for sd in self.k_sd_axis)
 
-    def label_values(self) -> list[str]:
-        """The label string of every node, row-major."""
-        return [_LABEL_VALUES[id(label)] for label in self.labels]
-
     def to_dict(self) -> dict:
-        nodes = zip(self.points(), self.discriminant, self.label_values(),
+        nodes = zip(self.points(), self.discriminant, self.labels,
                     self.period, self.convergent)
         return {"k_sd_axis": list(self.k_sd_axis),
                 "k_sp_axis": list(self.k_sp_axis),
@@ -288,5 +283,5 @@ def phase_grid(k_sd_range: tuple[float, float, int],
     delta, code, convergent, period = (
         v.ravel().tolist() for v in _regimes(*np.meshgrid(k_sd_axis, k_sp_axis)))
     return PhaseGrid(tuple(k_sd_axis.tolist()), tuple(k_sp_axis.tolist()),
-                     tuple(delta), tuple(_RULE_LABELS[c] for c in code),
+                     tuple(delta), tuple(map(_RULE_LABELS.__getitem__, code)),
                      tuple(convergent), tuple(period))

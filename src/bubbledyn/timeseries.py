@@ -60,6 +60,14 @@ def ordinal(date: tuple[int, int], frequency: Frequency) -> int:
     return year * 12 + month - 1 if frequency is Frequency.MONTHLY else year
 
 
+def format_date(date: tuple[int, int], frequency: Frequency) -> str:
+    """"YYYY-MM" for monthly series, "YYYY" for annual ones."""
+    year, month = date
+    if frequency is Frequency.MONTHLY:
+        return f"{year:04d}-{month:02d}"
+    return f"{year:04d}"
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Gap-free sequence of scalar observations at a fixed frequency.
@@ -111,10 +119,25 @@ class TimeSeries:
             raise IndexError(f"date {date} outside series span")
         return int(idx)
 
+    def indices_between(self, begin: tuple[int, int],
+                        end: Optional[tuple[int, int]] = None) -> range:
+        """Indices of the observations dated from ``begin`` up to, not
+        including, ``end`` (default: past the last one), clipped to the
+        series span; dates compare by :func:`ordinal`."""
+        lo = ordinal(begin, self.frequency) - self.start_ordinal
+        hi = (len(self) if end is None
+              else ordinal(end, self.frequency) - self.start_ordinal)
+        return range(max(lo, 0), min(hi, len(self)))
+
     def with_values(self, values: Sequence[float], label: Optional[str] = None) -> "TimeSeries":
         return TimeSeries(self.start, self.frequency,
                           tuple(float(v) for v in values),
                           self.label if label is None else label)
+
+    def to_dict(self) -> dict:
+        return {"start": format_date(self.start, self.frequency),
+                "frequency": self.frequency.value, "label": self.label,
+                "values": list(self.values)}
 
 
 def align(*series: TimeSeries) -> tuple:
@@ -221,6 +244,10 @@ class LagScan:
         if not self.entries:
             raise DegenerateInputError("empty lag scan")
         return max(self.entries, key=lambda e: e[1])[0]
+
+    def to_dict(self) -> dict:
+        return {"entries": [{"lag": lag, "rho": rho} for lag, rho in self.entries],
+                "omitted": list(self.omitted)}
 
 
 def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> LagScan:

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from bubbledyn import pearson_correlation, phase_grid
+from bubbledyn import DataError, pearson_correlation, phase_grid
 from bubbledyn.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                            default_bubble_windows, main,
                            switch_candidates_for_year)
 
-from conftest import monthly
+from conftest import annual, monthly
+from test_timeseries import month_walk
 
 
 def run(capsys, *argv):
@@ -58,6 +60,14 @@ class TestSimulateSpec:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "f831bf2dc63785cf32807c6fa78dc165ad99e14580fc92fe2a7ab6413c944efc"
+
+    def test_json_output_bytes(self, capsys):
+        code, out, _ = run(capsys, "simulate-spec", "--ksd", "0.3", "--kc", "9",
+                           "--ksp", "1.1", "--p0", "30", "--p1", "31",
+                           "--steps", "20", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "80fea9b986b5a7d0f68aad61c69778758c886b486c83ee45bbf0809b03d8100f"
 
 
 class TestPhase:
@@ -115,6 +125,46 @@ class TestSimulateSd:
                            "--beta-s=0.91", "--format", fmt)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def write_annual_csv(path, values, start=1990):
+    path.write_text("date,value\n" + "".join(
+        f"{start + i},{float(v)!r}\n" for i, v in enumerate(values)))
+
+
+class TestFitCommands:
+    """Byte goldens of the fit reports' default stdout."""
+
+    def test_fit_sd_output_bytes(self, capsys, tmp_path):
+        # a lambda = 0.9 path with a percent of noise: the optimum is interior
+        write_annual_csv(tmp_path / "p.csv", [
+            94.031, 94.971, 98.0, 96.51, 100.716, 97.161, 95.401, 97.12,
+            106.556, 101.633, 96.664, 96.584])
+        write_annual_csv(tmp_path / "q.csv", [
+            326.377, 324.745, 331.239, 333.735, 342.723, 348.755, 351.797,
+            355.225, 358.889, 367.304, 375.643, 379.733])
+        write_annual_csv(tmp_path / "s.csv", [0.0, -6.5, 4.0, -9.0, 7.5, 2.0,
+                                              -3.5, -11.0, 5.0, 8.5, -2.0, 1.0])
+        code, out, err = run(capsys, "fit-sd", "--price", str(tmp_path / "p.csv"),
+                             "--consumption", str(tmp_path / "q.csv"),
+                             "--surplus", str(tmp_path / "s.csv"))
+        assert code == EXIT_OK, err
+        assert json.loads(out)["lambda"] == pytest.approx(0.9, abs=1e-3)
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "8b68998b522355c6d54f30f0a088a7468be1822eb70160076890a8fad30b12e8"
+
+    def test_fit_ethanol_output_bytes(self, capsys, tmp_path):
+        write_annual_csv(tmp_path / "e.csv", [1.5, 1.75, 2.25, 2.5, 3.5, 4.0,
+                                              5.25, 6.5, 8.0, 9.25, 11.0, 13.0])
+        write_annual_csv(tmp_path / "f.csv", [90.0, 91.5, 90.25, 93.0, 95.5, 97.0,
+                                              100.25, 104.0, 131.0, 112.5, 118.0,
+                                              123.5])
+        code, out, err = run(capsys, "fit-ethanol", "--ethanol",
+                             str(tmp_path / "e.csv"), "--food",
+                             str(tmp_path / "f.csv"), "--exclude", "8:9")
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "cd0a29cb14bf7090aa4d8b157ef45b4407cc58e93ff9091f5426f0c11597e088"
 
 
 class TestFitCombinedCommand:
@@ -195,6 +245,19 @@ class TestCorrelateAndLagscan:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "20ea0954e2140b14ab23322abff412bd148769e2977641bc6c1b90d39e25aa4d"
+
+    def test_lagscan_json_output_bytes(self, capsys, tmp_path):
+        write_series_csv(tmp_path / "a.csv", [1.0, 2.5, 0.25, 4.0, 3.5, -1.0,
+                                              2.0, 0.5, 6.0, 1.5, 2.25, 3.0])
+        write_series_csv(tmp_path / "b.csv", [0.5, 1.0, 3.0, 0.75, 4.5, 2.0, -0.5,
+                                              2.5, 1.0, 5.5, 2.0, 1.25, 3.5])
+        code, out, _ = run(capsys, "lagscan", "--a", str(tmp_path / "a.csv"),
+                           "--b", str(tmp_path / "b.csv"), "--max-lag", "11",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["omitted"] == [11]
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "d9f85599e13b9c1a87650530db9b4571450f8b22d563a207e2d6ad4174fc924b"
 
 
 class TestErrorContract:
@@ -277,6 +340,17 @@ class TestErrorContract:
         assert got == EXIT_USAGE
         assert "lam" in json.loads(err)["error"]
 
+    def test_bad_frequency_names_the_type(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-sd", "--surplus", "s.csv", "--frequency", "weekly",
+                  "--alpha-d=1", "--beta-d=1", "--alpha-s=0", "--beta-s=1"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        error = json.loads(captured.err)
+        assert error == {"error": "argument --frequency: invalid Frequency "
+                                  "value: 'weekly'", "type": "UsageError"}
+
     @pytest.mark.parametrize("command", ["fit-sd", "fit-ethanol", "fit-combined",
                                          "correlate"])
     def test_json_only_command_rejects_csv(self, capsys, command):
@@ -319,3 +393,44 @@ class TestHelpers:
     def test_switch_candidates(self):
         food = monthly(range(88), start=(2004, 1))
         assert switch_candidates_for_year(food, 2007) == list(range(36, 48))
+
+
+class TestCalendarHelpers:
+    """The CLI's calendar spans against a walk over every calendar month."""
+
+    @given(st.integers(2000, 2012), st.integers(1, 12), st.integers(1, 120),
+           st.integers(1998, 2014))
+    def test_switch_candidates_match_month_walk(self, year, month, n, switch_year):
+        food = monthly(range(n), start=(year, month))
+        expected = []
+        for date in month_walk((switch_year, 1), (switch_year + 1, 1)):
+            try:
+                index = food.index_of(date)
+            except IndexError:
+                continue
+            if index >= 1:
+                expected.append(index)
+        if expected:
+            assert switch_candidates_for_year(food, switch_year) == expected
+        else:
+            with pytest.raises(DataError):
+                switch_candidates_for_year(food, switch_year)
+
+    @given(st.integers(2000, 2012), st.integers(1, 12), st.integers(1, 160))
+    def test_default_bubble_windows_match_month_walk(self, year, month, n):
+        food = monthly(range(n), start=(year, month))
+        expected = []
+        for begin, end in (((2007, 1), (2009, 1)), ((2010, 6), food.date_at(n))):
+            inside = [food.index_of(d) for d in month_walk(begin, end)
+                      if food.start <= d < food.date_at(n)]
+            if inside:
+                expected.append((inside[0], inside[-1] + 1))
+        assert [(w.begin_index, w.end_index)
+                for w in default_bubble_windows(food)] == expected
+
+    def test_annual_series(self):
+        food = annual(range(13), start=(2000, 1))
+        # each year once, not once per month of the year
+        assert switch_candidates_for_year(food, 2007) == [7]
+        assert [(w.begin_index, w.end_index)
+                for w in default_bubble_windows(food)] == [(7, 9), (10, 13)]

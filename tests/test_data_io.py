@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bubbledyn import (DataError, DomainError, Frequency, SeriesSpec,
                        Transform, derive_surplus, emit, load_series,
-                       lagged_cross_correlation, phase_grid)
+                       lagged_cross_correlation, phase_grid, trend_comparison)
 
 from conftest import annual, monthly
 
@@ -172,6 +173,16 @@ class TestEmit:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit(monthly([1.0]), "xml", tmp_path / "x")
+
+    def test_object_without_json_form_is_type_error(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            emit(object(), "json", io.StringIO())
+
+    def test_fit_report_as_csv_is_type_error(self):
+        report = trend_comparison(annual([1.0, 2.0, 4.0, 7.0, 11.0]),
+                                  annual([3.0, 3.5, 5.0, 6.0, 9.0]))
+        with pytest.raises(TypeError, match="no CSV layout for TrendComparison"):
+            emit(report, "csv", io.StringIO())
 
     def test_unwritable_destination(self, tmp_path):
         with pytest.raises(DataError, match="cannot write"):

@@ -51,6 +51,36 @@ class TestTimeSeries:
             monthly([1, 2, 3]).index_of((2010, 1))
 
 
+def month_walk(begin, end):
+    """Every calendar month from ``begin`` up to, not including, ``end``."""
+    year, month = begin
+    while (year, month) < end:
+        yield year, month
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+
+
+class TestIndicesBetween:
+    @given(st.integers(1990, 2010), st.integers(1, 12), st.integers(1, 60),
+           st.tuples(st.integers(1985, 2016), st.integers(1, 12)),
+           st.none() | st.tuples(st.integers(1985, 2016), st.integers(1, 12)))
+    def test_matches_month_by_month_walk(self, year, month, n, begin, end):
+        s = monthly(range(n), start=(year, month))
+        expected = []
+        for date in month_walk(begin, s.date_at(n) if end is None else end):
+            try:
+                expected.append(s.index_of(date))
+            except IndexError:
+                pass
+        assert list(s.indices_between(begin, end)) == expected
+
+    def test_annual_series_counts_each_year_once(self):
+        s = annual(range(12), start=(2000, 1))
+        assert s.indices_between((2007, 1), (2008, 1)) == range(7, 8)
+        assert s.indices_between((2007, 6), (2009, 1)) == range(7, 9)
+        assert s.indices_between((2010, 6)) == range(10, 12)
+        assert not s.indices_between((2020, 1))
+
+
 class TestBoxCox:
     def test_lambda_one(self):
         assert box_cox(4.0, 1.0) == pytest.approx(3.0, abs=1e-12)
