@@ -254,6 +254,12 @@ def main(argv=None) -> int:
     try:
         data_io.emit(_run(args), args.format,
                      sys.stdout if args.output is None else args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, as a Unix filter does; the
+        # interpreter's own flush at exit then writes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (BubbledynError, ValueError) as exc:
         code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
         _report(str(exc), type(exc).__name__)

@@ -206,13 +206,9 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     params = CombinedParams(k_sd=v[0], k_sp=v[1], couplings=tuple(v[2:]),
                             trend_a=trend.a, trend_b=trend.b,
                             switch_index=switch)
-    terms = _model_terms(trend.a, trend.b, arrays, steps, switch)
-    fitted = _path(np.array(v), terms, p0, p1)
-    path_values = np.array([p0, p1, *fitted])
-    path = TimeSeries(food.start, food.frequency, tuple(path_values), "fitted price")
-    sse = float(np.sum((fv - path_values) ** 2))
-    sst = float(np.sum((fv - fv.mean()) ** 2))
-    r2 = 1.0 - sse / sst if sst > 0 else float("nan")
-    return CombinedFit(params=params, report=report, sse=sse, r2=r2, path=path,
+    path = replace(simulate_combined(params, markets, p0, p1, steps, food.start),
+                   label="fitted price")
+    return CombinedFit(params=params, report=report, sse=report.objective_value,
+                       r2=fitting.r_squared(food, path), path=path,
                        switch_date=food.date_at(switch),
                        regime=classify(params.k_sd, params.k_sp))

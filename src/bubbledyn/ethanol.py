@@ -29,9 +29,6 @@ class QuadraticTrend:
         if not 0.0 <= self.r_squared <= 1.0:
             raise ValueError("r_squared must lie in [0, 1]")
 
-    def value_at(self, t: float) -> float:
-        return self.a + self.b * t * t
-
 
 @dataclass(frozen=True)
 class EthanolLinkParams:

@@ -1,7 +1,7 @@
 """Trend-following speculator dynamics.
 
 First-order Walrasian price adjustment, the second-order recurrence that
-trend followers induce, closed-form solutions for every discriminant case,
+trend followers induce, one closed form for every discriminant case,
 regime classification, and phase-diagram generation over (k_sd, k_sp).
 """
 
@@ -79,13 +79,21 @@ class RegimeClassification:
     roots: tuple[complex, complex]
     label: Regime
     convergent: bool
-    theta: Optional[float] = None
     period: Optional[float] = None
 
 
 def _char_coeffs(k_sd: float, k_sp: float) -> tuple[float, float]:
     """(b, c) of the characteristic polynomial m**2 + b*m + c."""
     return k_sd - k_sp - 1.0, k_sp
+
+
+def _roots(k_sd: float, k_sp: float) -> tuple[complex, complex]:
+    """The characteristic roots (-b +- sqrt(delta)) / 2; both are -b/2 where
+    the regime rule finds a repeated root (|delta| < DELTA_EPS, k_sp > 0)."""
+    b, c = _char_coeffs(k_sd, k_sp)
+    delta = b * b - 4.0 * c
+    sq = 0.0 if abs(delta) < DELTA_EPS and k_sp > 0 else cmath.sqrt(delta)
+    return complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)
 
 
 def iterate(const: Sequence[float], a: Sequence[float], b: Sequence[float],
@@ -147,33 +155,19 @@ def closed_form_second_order(params: SpeculatorParams, p1_deviation: float,
                              t: int) -> float:
     """Closed-form solution with P(0) = P_e and P(1) = P_e + p1_deviation.
 
-    Dispatches on the discriminant: two real roots, a repeated root, or the
-    complex pair whose modulus is sqrt(k_sp).
+    One formula in the characteristic roots m1, m2 for every discriminant
+    case: P_e + dev (m1**t - m2**t) / (m1 - m2), whose limit t m**(t - 1)
+    is taken where the two roots are equal.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     p_e = params.equilibrium_price
-    if t == 0:
+    if t == 0:  # at k_sd = 1, k_sp = 0 both roots are 0 and m**(t - 1) fails
         return p_e
-    b, c = _char_coeffs(params.k_sd, params.k_sp)
-    delta = b * b - 4.0 * c
-    dev = p1_deviation
-    if abs(delta) < DELTA_EPS:
-        return dev * (-b / 2.0) ** (t - 1) * t + p_e
-    if delta > 0:
-        sq = math.sqrt(delta)
-        m1 = (-b + sq) / 2.0
-        m2 = (-b - sq) / 2.0
-        return dev * (m1 ** t - m2 ** t) / sq + p_e
-    # delta < 0: oscillation with modulus sqrt(k_sp)
-    theta = oscillation_theta(params.k_sd, params.k_sp)
-    sin_theta = math.sin(theta)
-    if sin_theta == 0.0:
-        raise DegenerateInputError("sin(theta) = 0: degenerate oscillation")
-    sign_b = 1.0 if b >= 0 else -1.0
-    modulus = math.sqrt(params.k_sp)
-    return ((-sign_b) ** (t - 1) * modulus ** (t - 1) * dev
-            * math.sin(theta * t) / sin_theta + p_e)
+    m1, m2 = _roots(params.k_sd, params.k_sp)
+    if m1 == m2:
+        return p1_deviation * (t * m1 ** (t - 1)).real + p_e
+    return p1_deviation * ((m1 ** t - m2 ** t) / (m1 - m2)).real + p_e
 
 
 #: Labels of the regime rule's cases, as (convergent, divergent) pairs in the
@@ -225,16 +219,10 @@ def classify(k_sd: float, k_sp: float) -> RegimeClassification:
     check_domain(k_sd, k_sp)
     delta, code, convergent, period = (
         v[0] for v in _regimes(np.array([k_sd], float), np.array([k_sp], float)))
-    label, delta = _RULE_LABELS[code], float(delta)
-    b, _ = _char_coeffs(k_sd, k_sp)
-    sq = (0.0 if label in _RULE_LABELS[:2]  # both roots are -b/2
-          else cmath.sqrt(delta) if delta < 0 else math.sqrt(delta))
     return RegimeClassification(
-        k_sd=k_sd, k_sp=k_sp, discriminant=delta,
-        roots=(complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)),
-        label=label, convergent=bool(convergent),
-        theta=None if period is None else oscillation_theta(k_sd, k_sp),
-        period=period)
+        k_sd=k_sd, k_sp=k_sp, discriminant=float(delta),
+        roots=_roots(k_sd, k_sp), label=_RULE_LABELS[code],
+        convergent=bool(convergent), period=period)
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,6 @@ class Window:
         if self.end_index <= self.begin_index:
             raise ValueError("end_index must exceed begin_index")
 
-    def contains(self, index: int) -> bool:
-        return self.begin_index <= index < self.end_index
-
 
 def keep_mask(n: int, windows: Sequence[Window]) -> np.ndarray:
     """Boolean mask of the indices 0..n-1 outside every window; a window

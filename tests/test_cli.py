@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from bubbledyn.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                            switch_candidates_for_year)
 
 from conftest import annual, monthly
+from test_deferred_import import SRC
 from test_timeseries import month_walk
 
 
@@ -192,6 +196,22 @@ class TestFitCombinedCommand:
         assert payload["k_sd"] > 0
         assert "k_sp" in payload and "couplings" in payload
 
+    def test_output_bytes(self, capsys, tmp_path):
+        from test_combined import make_food
+
+        food, markets = make_food(88)
+        write_series_csv(tmp_path / "food.csv", food.values)
+        write_series_csv(tmp_path / "equity.csv", markets[0].values)
+        write_series_csv(tmp_path / "yields.csv",
+                         [1.0 / v for v in markets[1].values])
+        code, out, err = run(
+            capsys, "fit-combined", "--food", str(tmp_path / "food.csv"),
+            "--market", str(tmp_path / "equity.csv"),
+            "--market", str(tmp_path / "yields.csv") + ":inverse")
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "8fb5fda77d68f6bcdc2f2c272b451e80489db8b284b184661cc641e16bc74c52"
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit-combined", "--food",
                            str(tmp_path / "none.csv"))
@@ -326,6 +346,21 @@ class TestErrorContract:
         assert out == "" and err.count("\n") == 1
         assert json.loads(err)["type"] == "DomainError"
 
+    def test_constant_food_is_degenerate(self, capsys, tmp_path):
+        # r2 is undefined; fit-combined and fit-sd reject the file alike
+        write_series_csv(tmp_path / "c60.csv", [100.0] * 60)
+        c60 = str(tmp_path / "c60.csv")
+        errors = []
+        for argv in (["fit-combined", "--food", c60],
+                     ["fit-sd", "--price", c60, "--consumption", c60,
+                      "--surplus", c60, "--frequency", "monthly"]):
+            got, out, err = run(capsys, *argv)
+            assert got == EXIT_DATA
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1
+            errors.append(json.loads(err))
+        assert errors[0] == errors[1] == {"error": "constant observed series",
+                                          "type": "DegenerateInputError"}
+
     def test_nan_parameter_is_named(self, capsys):
         got, _, err = run(capsys, *"simulate-spec --ksd nan --kc 1 --p0 1 "
                                    "--steps 5".split())
@@ -359,6 +394,43 @@ class TestErrorContract:
             main([command, "--format", "csv"])
         assert exc.value.code == EXIT_USAGE
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the command quietly, the way
+    a Unix filter does: exit 0 and nothing on stderr."""
+
+    @staticmethod
+    def spawn(argv, stdout, stderr):
+        # stdout block-buffered, as under a shell, so output can still sit in
+        # the buffer when the command returns
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.Popen([sys.executable, "-m", "bubbledyn.cli", *argv.split()],
+                                stdout=stdout, stderr=stderr,
+                                env={**env, "PYTHONPATH": str(SRC)})
+
+    @pytest.mark.parametrize("fmt, first", [
+        ("csv", b"k_sd,k_sp,delta,label,period\r\n"), ("json", b"{\n")],
+        ids=["csv", "json"])
+    def test_reader_closes_after_first_line(self, tmp_path, fmt, first):
+        with open(tmp_path / "err", "wb") as err:
+            proc = self.spawn(f"phase --ksd 0:5:300 --ksp 0:2:300 --format {fmt}",
+                              subprocess.PIPE, err)
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == EXIT_OK
+        assert line == first
+        assert (tmp_path / "err").read_bytes() == b""
+
+    def test_reader_closed_before_any_output(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        with open(tmp_path / "err", "wb") as err:
+            proc = self.spawn("simulate-spec --ksd 0.5 --kc 1 --p0 1 --steps 3 "
+                              "--format json", write, err)
+        os.close(write)
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert (tmp_path / "err").read_bytes() == b""
 
 
 class TestDataDirEnvVar:

@@ -129,6 +129,17 @@ class TestSecondOrder:
                            for t in range(101)])
             assert relative_gap(sim, cf) < 1e-8
 
+    @pytest.mark.parametrize("k_sd", [1.0, 1.0 + 1e-7, 1.0 - 1e-7, 0.5, 1.5])
+    def test_closed_form_matches_iteration_without_speculators(self, k_sd):
+        # k_sp = 0: the roots are 1 - k_sd and 0, both 0 at k_sd = 1, and
+        # |delta| < DELTA_EPS near k_sd = 1 without a repeated root
+        params = SpeculatorParams(k_sd, 0.0, 3.0 * k_sd)
+        p_e = params.equilibrium_price
+        sim = simulate_second_order(params, p_e, p_e + 1.0, 100).to_array()
+        cf = np.array([closed_form_second_order(params, 1.0, t)
+                       for t in range(101)])
+        assert relative_gap(sim, cf) < 1e-8
+
 
 #: One draw per dynamical regime of the second-order recurrence.
 REGIME_DRAWS = {
