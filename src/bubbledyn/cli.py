@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import combined, data_io, ethanol, speculators, supply_demand, timeseries
 from .errors import BubbledynError, DataError, FitError
 from .timeseries import Frequency, Window
@@ -252,8 +254,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        data_io.emit(_run(args), args.format,
-                     sys.stdout if args.output is None else args.output)
+        # an overflow surfaces as the error it leads to, not as a warning
+        with np.errstate(all="ignore"):
+            data_io.emit(_run(args), args.format,
+                         sys.stdout if args.output is None else args.output)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: end quietly, as a Unix filter does; the

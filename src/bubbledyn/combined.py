@@ -18,7 +18,7 @@ from . import fitting
 from .errors import AlignmentError, DegenerateInputError
 from .ethanol import QuadraticTrend
 from .speculators import RegimeClassification, check_domain, classify, iterate
-from .timeseries import Frequency, TimeSeries, format_date
+from .timeseries import Frequency, TimeSeries, align, format_date, ordinal
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,15 @@ def kc_of_t(trend_a: float, trend_b: float, k_sd: float, t: int) -> float:
 
 def _market_arrays(markets: Sequence[TimeSeries], start: tuple[int, int],
                    frequency: Frequency, length: int) -> list[np.ndarray]:
-    arrays = []
-    for i, m in enumerate(markets):
-        if m.frequency is not frequency:
-            raise AlignmentError(f"market {i} frequency mismatch")
-        try:
-            offset = m.index_of(start)
-        except IndexError as exc:
-            raise AlignmentError(f"market {i} does not cover the start date") from exc
-        if offset + length > len(m):
-            raise AlignmentError(
-                f"market {i} too short: needs {length} values from {start}")
-        arrays.append(m.to_array()[offset:offset + length])
-    return arrays
+    """Each market's ``length`` values from ``start``, paired by :func:`align`."""
+    if not markets:
+        return []
+    *arrays, common = align(*markets)
+    offset = ordinal(start, frequency) - ordinal(common, frequency)
+    if markets[0].frequency is not frequency or not 0 <= offset <= len(arrays[0]) - length:
+        raise AlignmentError(f"markets do not cover the {length} {frequency.value} "
+                             f"values from {format_date(start, frequency)}")
+    return [a[offset:offset + length] for a in arrays]
 
 
 def _model_terms(trend_a: float, trend_b: float, arrays: Sequence[np.ndarray],
@@ -148,8 +144,12 @@ def _linear_seed(food: np.ndarray,
     quad, lag, gate, gated_diffs = terms
     prev, cur = food[:-2], food[1:-1]
     design = np.column_stack([quad - cur, gate * (cur - prev), gated_diffs.T])
+    target = food[2:] - cur - lag
+    # LAPACK fails, or stalls, on non-finite entries
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
+        return None
     try:
-        coef, *_ = np.linalg.lstsq(design, food[2:] - cur - lag, rcond=None)
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(coef)):

@@ -74,9 +74,14 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
             or spec.value_column not in reader.fieldnames:
         raise DataError(
             f"{path}: missing column(s) {spec.date_column!r}/{spec.value_column!r}")
-    for row_no, row in enumerate(reader, start=2):
+    for row in reader:
+        row_no = reader.line_num  # the file line, blank lines counted
+        # DictReader keys extra fields by None and fills missing ones with None
+        if None in row or None in row.values():
+            raise DataError(f"{path} row {row_no}: field count differs from "
+                            "the header's")
         date = _parse_date(row[spec.date_column], spec.frequency, row_no)
-        cell = row[spec.value_column] or ""
+        cell = row[spec.value_column]
         try:
             value = float(cell)
         except ValueError:
@@ -107,8 +112,7 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
 def derive_surplus(production: TimeSeries, consumption: TimeSeries) -> TimeSeries:
     """Production minus consumption, aligned by calendar year."""
     pv, cv, start = align(production, consumption)
-    return TimeSeries(start, production.frequency,
-                      tuple(p - c for p, c in zip(pv, cv)), "surplus")
+    return TimeSeries(start, production.frequency, tuple(pv - cv), "surplus")
 
 
 #: Rows joined into one string per write of a CSV emit; joining the whole

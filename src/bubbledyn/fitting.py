@@ -48,7 +48,8 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
     the winning start's success flag, and ``evaluations`` every call of
     ``residuals``, finite-difference Jacobians and start checks included.
     Deterministic given identical inputs.  Raises :class:`FitError` when no
-    start has finite residuals, or every solve met a non-finite Jacobian.
+    start has finite residuals, or every solve met a non-finite Jacobian or
+    ended at a sum of squares that overflows.
     """
     if not starts:
         raise FitError("minimize requires at least one start")
@@ -79,10 +80,11 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
                 raise
             continue
         sse = float(res.fun @ res.fun)
-        if best is None or sse < best[1]:
+        if np.isfinite(sse) and (best is None or sse < best[1]):
             best = (res, sse)
     if best is None:
-        raise FitError("no start has finite residuals and a finite Jacobian")
+        raise FitError("no start has finite residuals, a finite Jacobian "
+                       "and a finite sum of squares")
     res, sse = best
     return FitReport(parameter_vector=tuple(float(v) for v in res.x),
                      objective_value=sse,

@@ -190,6 +190,8 @@ def _regimes(k_sd: np.ndarray, k_sp: np.ndarray):
     """
     b, c = _char_coeffs(k_sd, k_sp)
     delta = b * b - 4.0 * c
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("the discriminant overflows; k_sd and k_sp are too large")
     repeated = (np.abs(delta) < DELTA_EPS) & (k_sp > 0)
     oscillating = ~repeated & (delta < 0)
     sustained = oscillating & (np.abs(k_sp - 1.0) <= KSP_TOL)

@@ -181,14 +181,14 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
     report = fitting.minimize(residuals, starts, bounds)
 
     params = _params(*report.parameter_vector)
-    surplus_common = TimeSeries(start, surplus.frequency, tuple(sv), surplus.label)
-    path = simulate_equilibrium_path(surplus_common, params)
-    obs_price = TimeSeries(start, price.frequency, tuple(pv), price.label)
-    obs_cons = TimeSeries(start, consumption.frequency, tuple(qv), consumption.label)
-    res_p = obs_price.with_values(pv - path.prices.to_array(), "price residual")
-    res_q = obs_cons.with_values(qv - path.quantities.to_array(), "consumption residual")
+    path = simulate_equilibrium_path(
+        TimeSeries(start, surplus.frequency, tuple(sv), surplus.label), params)
+    prices, quantities = path.prices, path.quantities
     return SupplyDemandFit(
         params=params, report=report,
-        r2_price=fitting.r_squared(obs_price, path.prices),
-        r2_consumption=fitting.r_squared(obs_cons, path.quantities),
-        residual_price=res_p, residual_consumption=res_q, path=path)
+        r2_price=fitting.r_squared(prices.with_values(pv), prices),
+        r2_consumption=fitting.r_squared(quantities.with_values(qv), quantities),
+        residual_price=prices.with_values(pv - prices.to_array(), "price residual"),
+        residual_consumption=quantities.with_values(qv - quantities.to_array(),
+                                                    "consumption residual"),
+        path=path)

@@ -7,7 +7,7 @@ construction, so everything is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -199,7 +199,10 @@ def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     sy = math.sqrt(float(dy @ dy))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("constant series has undefined correlation")
-    return float(dx @ dy) / (sx * sy)
+    rho = float(dx @ dy) / (sx * sy)
+    if not math.isfinite(rho):
+        raise DomainError("the correlation overflows")
+    return rho
 
 
 def pearson_correlation(xs: TimeSeries, ys: TimeSeries) -> float:
@@ -255,18 +258,15 @@ def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> La
         raise ValueError("max_lag must be >= 0")
     entries = []
     omitted = []
-    ox, oy = xs.start_ordinal, ys.start_ordinal
-    ax, ay = xs.to_array(), ys.to_array()
     for lag in range(max_lag + 1):
-        # pair xs at ordinal o with ys at ordinal o + lag
-        lo = max(ox, oy - lag)
-        hi = min(ox + len(ax), oy + len(ay) - lag)
-        if hi - lo < 3:
+        try:
+            ax, ay, _ = align(xs, replace(ys, start=ys.date_at(-lag)))
+        except AlignmentError:
+            ax = ()
+        if len(ax) < 3:
             omitted.append(lag)
-            continue
-        xi = slice(lo - ox, hi - ox)
-        yi = slice(lo + lag - oy, hi + lag - oy)
-        entries.append((lag, _pearson(ax[xi], ay[yi])))
+        else:
+            entries.append((lag, _pearson(ax, ay)))
     return LagScan(tuple(entries), tuple(omitted))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bubbledyn import DataError, pearson_correlation, phase_grid
-from bubbledyn.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
+from bubbledyn.cli import (EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, build_parser,
                            default_bubble_windows, main,
                            switch_candidates_for_year)
 
@@ -431,6 +431,32 @@ class TestClosedStdout:
         os.close(write)
         assert proc.wait(timeout=120) == EXIT_OK
         assert (tmp_path / "err").read_bytes() == b""
+
+
+class TestFitCombinedOverflow:
+    """A fit whose sum of squares or linear seed overflows is one JSON error
+    line; run in a subprocess, because LAPACK writes its messages straight to
+    the process's file descriptors, where capsys does not see them."""
+
+    @pytest.mark.parametrize("food_at_50, market", [
+        (1e308, None), (None, [1.7e308 * (-1) ** t for t in range(88)])],
+        ids=["food-1e308", "market-alternating-1.7e308"])
+    def test_exits_4_with_one_error_line(self, tmp_path, food_at_50, market):
+        food = 105.0 + 0.01 * np.arange(88.0) ** 2
+        argv = ["fit-combined", "--food", str(tmp_path / "food.csv")]
+        if food_at_50 is not None:
+            food[50] = food_at_50
+        if market is not None:
+            write_series_csv(tmp_path / "market.csv", market)
+            argv += ["--market", str(tmp_path / "market.csv")]
+        write_series_csv(tmp_path / "food.csv", food)
+        proc = subprocess.run([sys.executable, "-m", "bubbledyn.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == EXIT_FIT
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["type"] == "FitError"
 
 
 class TestDataDirEnvVar:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubbledyn import (AlignmentError, CombinedParams, QuadraticTrend, Regime,
-                       Window, fit_combined, fitting, kc_of_t, quadratic_fit,
-                       simulate_combined)
+from bubbledyn import (AlignmentError, CombinedParams, Frequency, QuadraticTrend,
+                       Regime, Window, combined, fit_combined, fitting, kc_of_t,
+                       quadratic_fit, simulate_combined)
 
-from conftest import monthly
+from conftest import annual, monthly
 
 
 def make_markets(n_months, start=(2004, 1)):
@@ -102,6 +102,16 @@ class TestSimulateCombined:
             simulate_combined(CombinedParams(0.2, 0.0, (-1.0,), 100.0, 0.0, 5),
                               [monthly([1.0, 2.0, 3.0])], 100.0, 100.0, 10)
 
+    @pytest.mark.parametrize("market", [
+        annual([1.0] * 20, start=(2004, 1)),
+        monthly([1.0] * 20, start=(2004, 2)),
+        monthly([1.0] * 11, start=(2004, 1)),
+    ], ids=["annual", "starts-after", "ends-before"])
+    def test_market_must_cover_the_food_span(self, market):
+        with pytest.raises(AlignmentError, match="do not cover the 12 monthly "
+                                                 "values from 2004-01"):
+            combined._market_arrays([market], (2004, 1), Frequency.MONTHLY, 12)
+
     def test_coupling_count_must_match_markets(self):
         with pytest.raises(ValueError):
             simulate_combined(CombinedParams(0.2, 0.0, (-1.0,), 100.0, 0.0, 5),
@@ -134,6 +144,31 @@ class TestFitCombined:
         assert fit.sse < 1e-6
         assert fit.regime.label is Regime.AMPLIFIED_OSCILLATION
         assert fit.switch_date == (2007, 5)
+
+    def test_fallback_start_recovers_truth(self, monkeypatch):
+        # the start used where the one-step regression gives no seed
+        monkeypatch.setattr(combined, "_linear_seed", lambda food, terms: None)
+        food, markets = make_food(60)
+        trend = QuadraticTrend(a=TRUTH["trend_a"], b=TRUTH["trend_b"],
+                               r_squared=1.0)
+        fit = fit_combined(food, markets, trend, switch_candidates=[40])
+        assert fit.params.k_sd == pytest.approx(TRUTH["k_sd"], rel=0.05)
+        assert fit.params.k_sp == pytest.approx(TRUTH["k_sp"], rel=0.05)
+        for got, want in zip(fit.params.couplings, TRUTH["couplings"]):
+            assert got == pytest.approx(want, rel=0.10)
+        assert fit.sse < 1e-6
+
+    def test_no_seed_from_non_finite_terms(self, monkeypatch):
+        # lstsq on non-finite input fails in LAPACK or does not return
+        monkeypatch.setattr(np.linalg, "lstsq", None)
+        food, markets = make_food(30)
+        fv = food.to_array()
+        arrays = [m.to_array() for m in markets]
+        terms = combined._model_terms(105.0, 0.01, arrays, 29, 10)
+        arrays[0][20] = np.inf
+        spoiled_terms = combined._model_terms(105.0, 0.01, arrays, 29, 10)
+        assert combined._linear_seed(np.append(fv[:-1], np.inf), terms) is None
+        assert combined._linear_seed(fv, spoiled_terms) is None
 
     def test_report_serializable(self):
         import json

@@ -67,6 +67,19 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="row 3: gap"):
             load_series(SeriesSpec(f, Frequency.MONTHLY))
 
+    @pytest.mark.parametrize("text, error", [
+        ("value,date\n1\n", "row 2: field count"),
+        ("date,value\n2004-01,1\n2004-02,2,9\n", "row 3: field count"),
+        ("date,value,note\n2004-01,1,a\n2004-02,2\n", "row 3: field count"),
+        ("date,value\n2004-01,1\n\n\n2004-02,x\n", "row 5: non-finite"),
+        ("date,value\n\n2004-01,1\n\n2004-03,2\n", "row 5: gap"),
+    ], ids=["short", "extra", "short-of-three", "bad-after-blanks", "gap-after-blanks"])
+    def test_row_errors_name_the_file_line(self, tmp_path, text, error):
+        f = tmp_path / "s.csv"
+        f.write_text(text)
+        with pytest.raises(DataError, match=error):
+            load_series(SeriesSpec(f, Frequency.MONTHLY))
+
     def test_inverse_transform(self, tmp_path):
         f = tmp_path / "y.csv"
         write_csv(f, ["2004-01,5.0", "2004-02,4.0"])

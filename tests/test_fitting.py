@@ -29,6 +29,13 @@ class TestMinimize:
             minimize(lambda v: [np.nan], starts=[(0.0,), (1.0,)],
                      bounds=[(-5.0, 5.0)])
 
+    def test_overflowing_sum_of_squares_ends_the_start(self):
+        # every residual is finite, but their sum of squares is not
+        with np.errstate(all="ignore"), \
+                pytest.raises(FitError, match="finite sum of squares"):
+            minimize(lambda v: np.full(3, 1e200) + v, starts=[(0.5,)],
+                     bounds=[(0.0, 1.0)])
+
     def test_non_finite_jacobian_ends_only_that_start(self):
         def edge(v):
             # the optimum x = 2 lies past the edge of the finite region

@@ -224,6 +224,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(1.0, math.nan)
 
+    @pytest.mark.parametrize("k_sd, k_sp", [(1e200, 1.0), (1e200, 1e308)])
+    def test_overflowing_discriminant_is_rejected(self, k_sd, k_sp):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflows"):
+            classify(k_sd, k_sp)
+
 
 def _scalar_rule(k_sd, k_sp):
     """The per-point regime rule, written out branch by branch as a reference

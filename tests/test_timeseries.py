@@ -8,7 +8,7 @@ from bubbledyn import (AlignmentError, DegenerateInputError, DomainError,
                        Frequency, TimeSeries, Window, box_cox, deflate,
                        inverse_box_cox, lagged_cross_correlation,
                        normalize_unit_interval, pearson_correlation)
-from bubbledyn.timeseries import LAMBDA_EPS, align, ordinal
+from bubbledyn.timeseries import LAMBDA_EPS, _pearson, align, ordinal
 
 from conftest import annual, monthly
 
@@ -241,6 +241,31 @@ class TestLaggedCrossCorrelation:
     def test_frequency_mismatch(self):
         with pytest.raises(AlignmentError):
             lagged_cross_correlation(annual([1, 2, 3]), monthly([1, 2, 3]), 1)
+
+    @given(st.integers(-6, 6), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 15), st.integers(0, 2**32 - 1))
+    def test_pairs_match_a_walk_by_date(self, shift, nx, ny, max_lag, seed):
+        rng = np.random.default_rng(seed)
+        xs = monthly(rng.normal(size=nx), start=(2004, 1))
+        ys = monthly(rng.normal(size=ny), start=xs.date_at(shift))
+        by_date = {ys.date_at(i): v for i, v in enumerate(ys.values)}
+        entries, omitted = [], []
+        for lag in range(max_lag + 1):
+            pairs = [(x, by_date[xs.date_at(i + lag)])
+                     for i, x in enumerate(xs.values) if xs.date_at(i + lag) in by_date]
+            if len(pairs) < 3:
+                omitted.append(lag)
+            else:
+                entries.append((lag, _pearson(*map(np.array, zip(*pairs)))))
+        scan = lagged_cross_correlation(xs, ys, max_lag)
+        assert scan.entries == tuple(entries)
+        assert scan.omitted == tuple(omitted)
+
+    def test_overflowing_correlation_is_a_domain_error(self):
+        xs = monthly([1e300 * (-1) ** t for t in range(8)])
+        ys = monthly([1e300 * (-1) ** (t // 2) for t in range(8)])
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
+            lagged_cross_correlation(xs, ys, 2)
 
 
 class TestDeflate:
