@@ -97,11 +97,11 @@ def trend_comparison(series_a: TimeSeries, series_b: TimeSeries,
     norm_b = normalize_unit_interval(series_b, exclude=exclude_b)
     trend_a = quadratic_fit(norm_a)
     trend_b = quadratic_fit(norm_b, exclude=windows)
-    av, bv, start = align(norm_a, norm_b)
+    kept_b = norm_b.with_values(keep_mask(len(norm_b), windows))
+    av, bv, keep, _ = align(norm_a, norm_b, kept_b)
     if len(av) < 4:
         raise DegenerateInputError("overlapping span must have >= 4 points")
-    offset = norm_b.index_of(start)
-    keep = keep_mask(len(norm_b), windows)[offset:offset + len(bv)]
+    keep = keep.astype(bool)
     rho = _pearson(av[keep], bv[keep])
     return TrendComparison(trend_a=trend_a, trend_b=trend_b,
                            coefficient_gap=trend_a.b - trend_b.b, rho=rho)

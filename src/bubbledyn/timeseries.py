@@ -217,7 +217,7 @@ def normalize_unit_interval(s: TimeSeries, exclude: Optional[Window] = None) -> 
     """Affine map sending the min/max of the non-excluded points to 0/1.
 
     Excluded points are transformed by the same map and may land outside
-    [0, 1].
+    [0, 1].  DomainError where the range or a mapped value overflows.
     """
     values = s.to_array()
     kept = values[keep_mask(len(values), () if exclude is None else (exclude,))]
@@ -226,7 +226,11 @@ def normalize_unit_interval(s: TimeSeries, exclude: Optional[Window] = None) -> 
     lo, hi = kept.min(), kept.max()
     if hi == lo:
         raise DegenerateInputError("all non-excluded values are equal")
-    return s.with_values((values - lo) / (hi - lo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (values - lo) / (hi - lo)
+    if not np.all(np.isfinite(scaled)):
+        raise DomainError("the range of the series overflows")
+    return s.with_values(scaled)
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,12 @@ class TestFitCommands:
                              "--consumption", str(tmp_path / "q.csv"),
                              "--surplus", str(tmp_path / "s.csv"))
         assert code == EXIT_OK, err
-        assert json.loads(out)["lambda"] == pytest.approx(0.9, abs=1e-3)
+        report = json.loads(out)
+        assert report["lambda"] == pytest.approx(0.9, abs=1e-3)
+        # no worse than the objective scipy's own solver reached here
+        assert report["objective"] <= 0.05281463364204926 * (1 + 1e-9)
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "8b68998b522355c6d54f30f0a088a7468be1822eb70160076890a8fad30b12e8"
+            "aee593424a21aad196a0d78d706c747c14aacaa348d452579fa8e34759483cac"
 
     def test_fit_ethanol_output_bytes(self, capsys, tmp_path):
         write_annual_csv(tmp_path / "e.csv", [1.5, 1.75, 2.25, 2.5, 3.5, 4.0,
@@ -209,8 +212,12 @@ class TestFitCombinedCommand:
             "--market", str(tmp_path / "equity.csv"),
             "--market", str(tmp_path / "yields.csv") + ":inverse")
         assert code == EXIT_OK, err
+        report = json.loads(out)
+        # the switch month and no worse an SSE than scipy's own solver reached
+        assert report["switch_date"] == "2007-01"
+        assert report["sse"] <= 17069683.100586947 * (1 + 1e-9)
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "8fb5fda77d68f6bcdc2f2c272b451e80489db8b284b184661cc641e16bc74c52"
+            "0a2936b9bb455f198a7040632999bfcf96aef8afea2f6e5a6e90009b06609432"
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit-combined", "--food",
@@ -345,6 +352,17 @@ class TestErrorContract:
         assert got == EXIT_DATA
         assert out == "" and err.count("\n") == 1
         assert json.loads(err)["type"] == "DomainError"
+
+    def test_overflowing_range_is_domain_error(self, capsys, tmp_path):
+        # max - min of the series overflows; correlate rejects the file alike
+        write_annual_csv(tmp_path / "big.csv", [1e308 * (-1) ** t for t in range(12)])
+        big = str(tmp_path / "big.csv")
+        for argv in (["fit-ethanol", "--ethanol", big, "--food", big],
+                     ["correlate", "--a", big, "--b", big]):
+            got, out, err = run(capsys, *argv)
+            assert got == EXIT_DATA
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1
+            assert json.loads(err)["type"] == "DomainError"
 
     def test_constant_food_is_degenerate(self, capsys, tmp_path):
         # r2 is undefined; fit-combined and fit-sd reject the file alike

@@ -1,7 +1,7 @@
-"""``scipy.optimize`` loads at the first fit, not at import.
+"""No command imports scipy: the fits run on numpy alone.
 
-Each case runs in a fresh interpreter, since this test process has long
-since imported scipy.
+Each case runs in a fresh interpreter in which ``import scipy`` fails, since
+this test process may have imported scipy for the solver's oracle test.
 """
 
 import os
@@ -18,14 +18,16 @@ from conftest import annual
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Imports the package, runs the CLI on its argv (if any) and prints the exit
-#: code and whether scipy.optimize was imported.
+#: Blocks scipy, imports the package, runs the CLI on its argv (if any) and
+#: prints the exit code and whether any scipy module was loaded.
 PROBE = """
 import sys
+sys.modules["scipy"] = None
 import bubbledyn
 from bubbledyn.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, "scipy.optimize" in sys.modules)
+print(code, any(name.split(".")[0] == "scipy" and module is not None
+                for name, module in sys.modules.items()))
 """
 
 
@@ -47,14 +49,20 @@ def test_non_fitting_process_never_imports_optimize(tmp_path, argv):
     assert probe(argv.split(), tmp_path) == (0, False)
 
 
-def test_fit_imports_optimize(tmp_path):
+def test_fits_run_without_scipy(tmp_path):
+    from test_combined import make_food
+
     truth = SupplyDemandParams(1.0, 300.0, 1.0, 150.0, 1.0)
     surplus = annual(np.random.default_rng(2).normal(scale=8.0, size=8),
                      start=(1982, 1))
     path = simulate_equilibrium_path(surplus, truth)
+    food, (equity, yields) = make_food(88)
     for name, series in [("price", path.prices), ("consumption", path.quantities),
-                         ("surplus", surplus)]:
+                         ("surplus", surplus), ("food", food), ("equity", equity),
+                         ("yields", yields)]:
         emit(series, "csv", tmp_path / f"{name}.csv")
-    argv = ("fit-sd --price price.csv --consumption consumption.csv "
-            "--surplus surplus.csv -o fit.json")
-    assert probe(argv.split(), tmp_path) == (0, True)
+    for argv in ("fit-sd --price price.csv --consumption consumption.csv "
+                 "--surplus surplus.csv -o fit.json",
+                 "fit-combined --food food.csv --market equity.csv "
+                 "--market yields.csv -o combined.json"):
+        assert probe(argv.split(), tmp_path) == (0, False)

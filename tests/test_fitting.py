@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from bubbledyn import DegenerateInputError, FitError, fitting, minimize, r_squared
 
@@ -69,8 +68,13 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(lambda v: [0.0], starts=[(0.0, 0.0)], bounds=[(-1.0, 1.0)])
 
+    def test_infinite_bounds(self):
+        # the solver handles only the finite boxes the models use
+        with pytest.raises(ValueError, match="finite"):
+            minimize(lambda v: [v[0]], starts=[(0.0,)], bounds=[(-np.inf, 1.0)])
+
     def test_start_outside_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the bounds"):
             minimize(lambda v: [v[0]], starts=[(2.0,)], bounds=[(-1.0, 1.0)])
 
     def test_evaluations_count_every_residual_call(self):
@@ -94,7 +98,8 @@ class TestMinimize:
 
         def least_squares(fun, x0, **kwargs):
             residual, success = next(results)
-            return OptimizeResult(x=x0, fun=np.array([residual]), success=success)
+            return fitting.LeastSquaresResult(x=x0, fun=np.array([residual]),
+                                              success=success)
 
         monkeypatch.setattr(fitting, "least_squares", least_squares)
         report = minimize(lambda v: [v[0]], starts=[(0.0,), (0.5,)],

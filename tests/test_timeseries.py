@@ -199,6 +199,14 @@ class TestNormalize:
                                       exclude=Window(2, 3))
         assert out.values == pytest.approx((0.0, 0.5, 5.0, 1.0))
 
+    @pytest.mark.parametrize("values, exclude", [
+        ([1e308, -1e308, 0.0], None),  # max - min overflows
+        ([0.0, 1e-300, -1.7e308, 2e-300], Window(2, 3)),  # an excluded point does
+    ])
+    def test_overflow_is_domain_error(self, values, exclude):
+        with pytest.raises(DomainError, match="overflows"):
+            normalize_unit_interval(annual(values), exclude=exclude)
+
     def test_idempotent(self):
         once = normalize_unit_interval(annual([3.0, -1.0, 5.0, 2.0]))
         twice = normalize_unit_interval(once)

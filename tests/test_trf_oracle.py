@@ -1,0 +1,114 @@
+"""The numpy trust-region-reflective port against scipy's own solver.
+
+Both run the same algorithm; only the SVD's last bits differ, so the two
+must end at the same point up to the stopping tolerances.
+"""
+
+import numpy as np
+import pytest
+
+from bubbledyn import fit_supply_demand, fitting
+
+from conftest import annual
+
+optimize = pytest.importorskip("scipy.optimize")
+
+
+def fit_sd_golden_problems():
+    """(residuals, start, bounds) of every start of the fit-sd CLI golden."""
+    problems = []
+    solve = fitting.least_squares
+
+    def spy(fun, x0, bounds):
+        problems.append((fun, np.array(x0), bounds))
+        return solve(fun, x0, bounds)
+
+    price = annual([94.031, 94.971, 98.0, 96.51, 100.716, 97.161, 95.401, 97.12,
+                    106.556, 101.633, 96.664, 96.584])
+    consumption = annual([326.377, 324.745, 331.239, 333.735, 342.723, 348.755,
+                          351.797, 355.225, 358.889, 367.304, 375.643, 379.733])
+    surplus = annual([0.0, -6.5, 4.0, -9.0, 7.5, 2.0, -3.5, -11.0, 5.0, 8.5,
+                      -2.0, 1.0])
+    mp = pytest.MonkeyPatch()
+    mp.setattr(fitting, "least_squares", spy)
+    try:
+        fit_supply_demand(price, consumption, surplus)
+    finally:
+        mp.undo()
+    return problems
+
+
+def rosenbrock(v):
+    return np.array([1 - v[0], 10 * (v[1] - v[0] ** 2)])
+
+
+def optimum_past_bound(v):
+    # unconstrained optimum (0.5, -2); the box holds x >= 1, y >= -1
+    return np.array([v[0] - 0.5, v[1] + 2.0, 0.1 * v[0] * v[1]])
+
+
+def cases():
+    # the start that wins the golden fit, (lambda, beta_d, beta_s) = (0.9, 1, 0.3)
+    fun, x0, bounds = fit_sd_golden_problems()[8]
+    assert x0.tolist() == [0.9, 1.0, 0.3]
+    yield pytest.param(fun, x0, bounds, id="fit-sd-golden")
+    box = (np.array([-2.0, -1.0]), np.array([0.5, 3.0]))
+    yield pytest.param(rosenbrock, np.array([-1.5, 2.0]), box, id="rosenbrock-box")
+    yield pytest.param(optimum_past_bound, np.array([2.0, 1.0]),
+                       (np.array([1.0, -1.0]), np.array([3.0, 2.0])),
+                       id="optimum-on-bound")
+
+
+@pytest.mark.parametrize("fun, x0, bounds", cases())
+def test_port_matches_scipy(fun, x0, bounds):
+    want = optimize.least_squares(fun, x0, bounds=bounds, method="trf")
+    got = fitting.least_squares(fun, x0, bounds)
+    assert got.success == want.success
+    np.testing.assert_allclose(got.x, want.x, rtol=1e-6, atol=0)
+    assert got.fun @ got.fun == pytest.approx(want.fun @ want.fun, rel=1e-9, abs=0)
+
+
+def test_every_fit_sd_start_ends_at_scipy_objective():
+    # the valley is flat enough that x itself differs by up to ~3e-6 between
+    # the two from some starts; the objective and the stop agree
+    for fun, x0, bounds in fit_sd_golden_problems():
+        want = optimize.least_squares(fun, x0, bounds=bounds, method="trf")
+        got = fitting.least_squares(fun, x0, bounds)
+        assert got.success == want.success
+        assert got.fun @ got.fun == pytest.approx(want.fun @ want.fun, rel=1e-9)
+
+
+def edge(v):
+    # finite only for x <= 1, so a difference step past it ends the solve
+    return np.array([v[0] - 2.0, v[1]]) if v[0] <= 1.0 else np.array([np.nan] * 2)
+
+
+def test_same_steps_as_scipy_given_its_svd(monkeypatch):
+    """With scipy's SVD swapped in, the port retraces scipy's solve exactly:
+    the same residual calls in the same order, the same bits at the end."""
+    from scipy import linalg
+
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: linalg.svd(
+        a, full_matrices=full_matrices))
+    problems = [p.values for p in cases()] + fit_sd_golden_problems()
+    problems.append((edge, np.array([0.0, 1.0]), ([-5.0, -5.0], [5.0, 5.0])))
+    for fun, x0, bounds in problems:
+        calls = {"scipy": [], "port": []}
+
+        def logged(name, fun=fun):
+            return lambda v: calls[name].append(v.copy()) or fun(v)
+
+        try:
+            want = optimize.least_squares(logged("scipy"), x0, bounds=bounds,
+                                          method="trf")
+        except ValueError as exc:
+            assert "infs or NaNs" in str(exc)
+            with pytest.raises(fitting.NonFiniteJacobian):
+                fitting.least_squares(logged("port"), x0, bounds)
+        else:
+            got = fitting.least_squares(logged("port"), x0, bounds)
+            assert got.success == want.success
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.fun, want.fun)
+        assert len(calls["port"]) == len(calls["scipy"])
+        assert all(map(np.array_equal, calls["port"], calls["scipy"]))
