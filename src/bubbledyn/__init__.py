@@ -4,7 +4,7 @@ data."""
 
 from .combined import (CombinedFit, CombinedParams, fit_combined, kc_of_t,
                        simulate_combined)
-from .data_io import SeriesSpec, Transform, derive_surplus, emit, load_series
+from .data_io import derive_surplus, emit, load_series
 from .errors import (AlignmentError, BubbledynError, DataError,
                      DegenerateInputError, DomainError, FitError)
 from .ethanol import (EthanolLinkParams, QuadraticTrend, TrendComparison,

@@ -25,9 +25,10 @@ EXIT_DATA = 3
 EXIT_FIT = 4
 
 #: Exit code of each caught exception type; the first match wins.  A
-#: ValueError from the library means the arguments were out of range.
+#: ValueError from the library means the arguments were out of range, and a
+#: MemoryError that a size argument was too large to allocate.
 _EXIT_CODES = ((FitError, EXIT_FIT), (BubbledynError, EXIT_DATA),
-               (ValueError, EXIT_USAGE))
+               (ValueError, EXIT_USAGE), (MemoryError, EXIT_USAGE))
 
 #: Environment variable naming the default directory for data files.
 DATA_DIR_ENV = "BUBBLEDYN_DATA_DIR"
@@ -46,13 +47,9 @@ def _resolve(path: str) -> Path:
 
 
 def _load(path: str, frequency: Frequency, label: str = "") -> timeseries.TimeSeries:
-    transform = data_io.Transform.NONE
-    if path.endswith(":inverse"):
-        path = path[: -len(":inverse")]
-        transform = data_io.Transform.INVERSE
-    spec = data_io.SeriesSpec(path=_resolve(path), frequency=frequency,
-                              label=label, transform=transform)
-    return data_io.load_series(spec)
+    inverse = path.endswith(":inverse")
+    return data_io.load_series(_resolve(path.removesuffix(":inverse")),
+                               frequency, label, inverse)
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -264,9 +261,11 @@ def main(argv=None) -> int:
         # interpreter's own flush at exit then writes to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (BubbledynError, ValueError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-        _report(str(exc), type(exc).__name__)
+        # a MemoryError raised by the interpreter carries no message
+        _report(str(exc) or "not enough memory for the requested size",
+                type(exc).__name__)
         return code
     return EXIT_OK
 

@@ -11,8 +11,6 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from pathlib import Path
 from typing import Union
@@ -24,21 +22,6 @@ from .timeseries import (Frequency, LagScan, TimeSeries, align, format_date,
 
 _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _ANNUAL_RE = re.compile(r"^(\d{4})(?:-01)?$")
-
-
-class Transform(Enum):
-    NONE = "none"
-    INVERSE = "inverse"
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    path: Union[str, Path]
-    frequency: Frequency
-    date_column: str = "date"
-    value_column: str = "value"
-    label: str = ""
-    transform: Transform = Transform.NONE
 
 
 def _parse_date(raw: str, frequency: Frequency, row: int) -> tuple[int, int]:
@@ -57,9 +40,12 @@ def _parse_date(raw: str, frequency: Frequency, row: int) -> tuple[int, int]:
     return int(m.group(1)), 1
 
 
-def load_series(spec: SeriesSpec) -> TimeSeries:
-    """Parse a CSV file into a gap-free TimeSeries per its spec."""
-    path = Path(spec.path)
+def load_series(path: Union[str, Path], frequency: Frequency, label: str = "",
+                inverse: bool = False) -> TimeSeries:
+    """Parse the ``date`` and ``value`` columns of a CSV file into a gap-free
+    TimeSeries; other columns are ignored.  ``inverse`` loads 1/value, which
+    requires every value to be positive."""
+    path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
@@ -70,18 +56,17 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
     dates = []
     values = []
     reader = csv.DictReader(lines)
-    if reader.fieldnames is None or spec.date_column not in reader.fieldnames \
-            or spec.value_column not in reader.fieldnames:
-        raise DataError(
-            f"{path}: missing column(s) {spec.date_column!r}/{spec.value_column!r}")
+    if reader.fieldnames is None or "date" not in reader.fieldnames \
+            or "value" not in reader.fieldnames:
+        raise DataError(f"{path}: missing column(s) 'date'/'value'")
     for row in reader:
         row_no = reader.line_num  # the file line, blank lines counted
         # DictReader keys extra fields by None and fills missing ones with None
         if None in row or None in row.values():
             raise DataError(f"{path} row {row_no}: field count differs from "
                             "the header's")
-        date = _parse_date(row[spec.date_column], spec.frequency, row_no)
-        cell = row[spec.value_column]
+        date = _parse_date(row["date"], frequency, row_no)
+        cell = row["value"]
         try:
             value = float(cell)
         except ValueError:
@@ -91,7 +76,7 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
             raise DataError(f"{path} row {row_no}: non-finite or non-numeric "
                             f"value {cell!r}")
         if dates:
-            gap = ordinal(date, spec.frequency) - ordinal(dates[-1], spec.frequency)
+            gap = ordinal(date, frequency) - ordinal(dates[-1], frequency)
             if gap == 0:
                 raise DataError(f"{path} row {row_no}: duplicate date")
             if gap < 0:
@@ -102,11 +87,11 @@ def load_series(spec: SeriesSpec) -> TimeSeries:
         values.append(value)
     if not values:
         raise DataError(f"{path}: no data rows")
-    if spec.transform is Transform.INVERSE:
+    if inverse:
         if any(v <= 0 for v in values):
             raise DomainError(f"{path}: inverse transform requires positive values")
         values = [1.0 / v for v in values]
-    return TimeSeries(dates[0], spec.frequency, tuple(values), spec.label)
+    return TimeSeries(dates[0], frequency, tuple(values), label)
 
 
 def derive_surplus(production: TimeSeries, consumption: TimeSeries) -> TimeSeries:

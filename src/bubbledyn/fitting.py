@@ -268,7 +268,6 @@ class FitReport:
     objective_value: float
     evaluations: int
     converged: bool
-    restarts_used: int
 
 
 def minimize(residuals: Callable[[np.ndarray], np.ndarray],
@@ -321,8 +320,7 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
     return FitReport(parameter_vector=tuple(float(v) for v in res.x),
                      objective_value=sse,
                      evaluations=evaluations,
-                     converged=bool(res.success),
-                     restarts_used=len(starts))
+                     converged=bool(res.success))
 
 
 def r_squared(observed: TimeSeries, modeled: TimeSeries) -> float:

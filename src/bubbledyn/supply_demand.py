@@ -21,7 +21,7 @@ from .timeseries import TimeSeries, align, box_cox, inverse_box_cox
 
 @dataclass(frozen=True)
 class SupplyDemandParams:
-    """Transform parameter plus intercepts/slopes of both curves."""
+    """Box-Cox parameter plus intercepts/slopes of both curves."""
 
     lam: float
     alpha_d: float

@@ -127,8 +127,7 @@ class TimeSeries:
         return range(max(lo, 0), min(hi, len(self)))
 
     def with_values(self, values: Sequence[float], label: Optional[str] = None) -> "TimeSeries":
-        return TimeSeries(self.start, self.frequency,
-                          tuple(float(v) for v in values),
+        return TimeSeries(self.start, self.frequency, values,
                           self.label if label is None else label)
 
     def to_dict(self) -> dict:

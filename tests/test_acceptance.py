@@ -14,10 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from bubbledyn import (Frequency, QuadraticTrend, Regime, SeriesSpec,
-                       TimeSeries, Transform, Window, box_cox, classify,
-                       closed_form_second_order, fit_combined,
-                       fit_supply_demand, inverse_box_cox,
+from bubbledyn import (Frequency, QuadraticTrend, Regime, TimeSeries,
+                       Window, box_cox, classify, closed_form_second_order,
+                       fit_combined, fit_supply_demand, inverse_box_cox,
                        lagged_cross_correlation, load_series,
                        normalize_unit_interval, oscillation_theta,
                        quadratic_fit, shock_update, simulate_first_order,
@@ -143,14 +142,13 @@ def test_05_paper_parameters_on_fixtures():
     require_fixtures("fao_monthly.csv", "sp500_monthly.csv",
                      "note10y_yield_monthly.csv")
     started = time.perf_counter()
-    food = clip(load_series(SeriesSpec(fixture_path("fao_monthly.csv"),
-                                       Frequency.MONTHLY, label="food index")),
+    food = clip(load_series(fixture_path("fao_monthly.csv"), Frequency.MONTHLY,
+                            label="food index"),
                 (2004, 1), (2011, 4))
-    sp500 = load_series(SeriesSpec(fixture_path("sp500_monthly.csv"),
-                                   Frequency.MONTHLY, label="equity index"))
-    bonds = load_series(SeriesSpec(fixture_path("note10y_yield_monthly.csv"),
-                                   Frequency.MONTHLY, label="inverse yield",
-                                   transform=Transform.INVERSE))
+    sp500 = load_series(fixture_path("sp500_monthly.csv"), Frequency.MONTHLY,
+                        label="equity index")
+    bonds = load_series(fixture_path("note10y_yield_monthly.csv"),
+                        Frequency.MONTHLY, label="inverse yield", inverse=True)
     trend = quadratic_fit(food, default_bubble_windows(food))
     fit = fit_combined(food, [sp500, bonds], trend,
                        switch_candidates_for_year(food, 2007))
@@ -168,11 +166,11 @@ def test_05_paper_parameters_on_fixtures():
 @criterion(6, "ethanol production trend matches the food-price trend")
 def test_06_ethanol_trend_on_fixtures():
     require_fixtures("ethanol_annual.csv", "fao_annual.csv")
-    ethanol = clip(load_series(SeriesSpec(fixture_path("ethanol_annual.csv"),
-                                          Frequency.ANNUAL, label="ethanol")),
+    ethanol = clip(load_series(fixture_path("ethanol_annual.csv"),
+                               Frequency.ANNUAL, label="ethanol"),
                    (1999, 1), (2010, 1))
-    fao = clip(load_series(SeriesSpec(fixture_path("fao_annual.csv"),
-                                      Frequency.ANNUAL, label="food index")),
+    fao = clip(load_series(fixture_path("fao_annual.csv"), Frequency.ANNUAL,
+                           label="food index"),
                (1999, 1), (2010, 1))
     peak = int(np.argmax(fao.to_array()))
     cmp = trend_comparison(ethanol, fao, exclude_b=Window(peak, peak + 1))
@@ -186,12 +184,12 @@ def test_06_ethanol_trend_on_fixtures():
 def test_07_wheat_fit_on_fixtures():
     require_fixtures("wheat_price_annual.csv", "wheat_consumption_annual.csv",
                      "wheat_surplus_annual.csv")
-    price = load_series(SeriesSpec(fixture_path("wheat_price_annual.csv"),
-                                   Frequency.ANNUAL, label="price"))
-    cons = load_series(SeriesSpec(fixture_path("wheat_consumption_annual.csv"),
-                                  Frequency.ANNUAL, label="consumption"))
-    surplus = load_series(SeriesSpec(fixture_path("wheat_surplus_annual.csv"),
-                                     Frequency.ANNUAL, label="surplus"))
+    price = load_series(fixture_path("wheat_price_annual.csv"),
+                        Frequency.ANNUAL, label="price")
+    cons = load_series(fixture_path("wheat_consumption_annual.csv"),
+                       Frequency.ANNUAL, label="consumption")
+    surplus = load_series(fixture_path("wheat_surplus_annual.csv"),
+                          Frequency.ANNUAL, label="surplus")
     fit = fit_supply_demand(price, cons, surplus)
     assert 0.95 <= fit.params.lam <= 1.05, f"lambda {fit.params.lam}"
     assert 0.75 <= fit.params.beta_d <= 1.27, f"beta_d {fit.params.beta_d}"
@@ -240,7 +238,7 @@ def test_08_invariants(tmp_path):
     ugly = TimeSeries((1999, 1), Frequency.ANNUAL, (1.0 / 3.0, 2.0 / 7.0, 0.1))
     dest = tmp_path / "roundtrip.csv"
     emit(ugly, "csv", dest)
-    back = load_series(SeriesSpec(dest, Frequency.ANNUAL))
+    back = load_series(dest, Frequency.ANNUAL)
     assert back.values == ugly.values
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
@@ -250,11 +248,10 @@ def test_08_invariants(tmp_path):
 @criterion(9, "inventory response lags the price deviation by about a year")
 def test_09_inventory_lag_on_fixtures():
     require_fixtures("fao_monthly.csv", "inventory_change_monthly.csv")
-    food = load_series(SeriesSpec(fixture_path("fao_monthly.csv"),
-                                  Frequency.MONTHLY, label="food index"))
-    inventory = load_series(SeriesSpec(
-        fixture_path("inventory_change_monthly.csv"), Frequency.MONTHLY,
-        label="inventory change"))
+    food = load_series(fixture_path("fao_monthly.csv"), Frequency.MONTHLY,
+                       label="food index")
+    inventory = load_series(fixture_path("inventory_change_monthly.csv"),
+                            Frequency.MONTHLY, label="inventory change")
     trend = quadratic_fit(food, default_bubble_windows(food))
     t = np.arange(len(food), dtype=float)
     deviation = food.with_values(

@@ -308,6 +308,13 @@ class TestErrorContract:
          "--alpha-s=0 --beta-s=1", EXIT_USAGE),
         ("correlate --a somedir --b m60.csv --frequency monthly", EXIT_DATA),
         ("correlate --a latin1.csv --b m60.csv --frequency monthly", EXIT_DATA),
+        ("correlate --a columns.csv --b m60.csv --frequency monthly", EXIT_DATA),
+        # sizes of 10**15 elements, which no allocator grants
+        ("simulate-spec --ksd 0.5 --kc 1 --p0 1 --steps 1000000000000000",
+         EXIT_USAGE),
+        ("simulate-spec --ksd 0.5 --ksp 0.2 --kc 1 --p0 1 "
+         "--steps 1000000000000000", EXIT_USAGE),
+        ("phase --ksd 0:1:1000000000000000 --ksp 0:1:3", EXIT_USAGE),
     ])
     def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                     argv, code):
@@ -316,12 +323,15 @@ class TestErrorContract:
         (tmp_path / "nan.csv").write_text("date,value\n2004-01,1\n2004-02,nan\n")
         (tmp_path / "s.csv").write_text("date,value\n1990,0\n1991,-1\n")
         (tmp_path / "latin1.csv").write_bytes(b"date,value\n2004-01,1\xb5\n")
+        (tmp_path / "columns.csv").write_text("month,fao\n2004-01,107.1\n")
         (tmp_path / "somedir").mkdir()
         got, out, err = run(capsys, *argv.split())
         assert got == code
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
-        assert set(json.loads(err)) == {"error", "type"}
+        error = json.loads(err)
+        assert set(error) == {"error", "type"}
+        assert error["error"]
 
     @pytest.mark.parametrize("argv", [
         "correlate --a x --b y --format csv",

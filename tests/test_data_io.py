@@ -4,9 +4,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bubbledyn import (DataError, DomainError, Frequency, SeriesSpec,
-                       Transform, derive_surplus, emit, load_series,
-                       lagged_cross_correlation, phase_grid, trend_comparison)
+from bubbledyn import (DataError, DomainError, Frequency, derive_surplus, emit,
+                       load_series, lagged_cross_correlation, phase_grid,
+                       trend_comparison)
 
 from conftest import annual, monthly
 
@@ -19,7 +19,7 @@ class TestLoadSeries:
     def test_well_formed_monthly(self, tmp_path):
         f = tmp_path / "s.csv"
         write_csv(f, ["2004-01,1.5", "2004-02,2.5", "2004-03,3.5"])
-        s = load_series(SeriesSpec(f, Frequency.MONTHLY, label="index"))
+        s = load_series(f, Frequency.MONTHLY, label="index")
         assert s.start == (2004, 1)
         assert s.values == (1.5, 2.5, 3.5)
         assert s.label == "index"
@@ -27,7 +27,7 @@ class TestLoadSeries:
     def test_annual_year_only_dates(self, tmp_path):
         f = tmp_path / "s.csv"
         write_csv(f, ["1999,10", "2000,11", "2001,12"])
-        s = load_series(SeriesSpec(f, Frequency.ANNUAL))
+        s = load_series(f, Frequency.ANNUAL)
         assert s.start == (1999, 1)
         assert len(s) == 3
 
@@ -35,37 +35,37 @@ class TestLoadSeries:
         f = tmp_path / "s.csv"
         write_csv(f, ["2004-01,1", "2004-02,2", "2004-04,3"])
         with pytest.raises(DataError, match="row 4"):
-            load_series(SeriesSpec(f, Frequency.MONTHLY))
+            load_series(f, Frequency.MONTHLY)
 
     def test_duplicate_date(self, tmp_path):
         f = tmp_path / "s.csv"
         write_csv(f, ["2004-01,1", "2004-01,2"])
         with pytest.raises(DataError, match="duplicate"):
-            load_series(SeriesSpec(f, Frequency.MONTHLY))
+            load_series(f, Frequency.MONTHLY)
 
     def test_non_numeric_value_names_row(self, tmp_path):
         f = tmp_path / "s.csv"
         write_csv(f, ["2004-01,1", "2004-02,oops"])
         with pytest.raises(DataError, match="row 3"):
-            load_series(SeriesSpec(f, Frequency.MONTHLY))
+            load_series(f, Frequency.MONTHLY)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "1_000"])
     def test_non_finite_value_names_row(self, tmp_path, cell):
         f = tmp_path / "s.csv"
         write_csv(f, ["2004-01,1", "2004-02,2", f"2004-03,{cell}"])
         with pytest.raises(DataError, match="row 4: non-finite"):
-            load_series(SeriesSpec(f, Frequency.MONTHLY))
+            load_series(f, Frequency.MONTHLY)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(1000, 9998))
     def test_year_boundary(self, tmp_path, year):
         f = tmp_path / "s.csv"
         write_csv(f, [f"{year}-12,1", f"{year + 1}-01,2"])
-        s = load_series(SeriesSpec(f, Frequency.MONTHLY))
+        s = load_series(f, Frequency.MONTHLY)
         assert s.start == (year, 12) and s.date_at(1) == (year + 1, 1)
         write_csv(f, [f"{year}-12,1", f"{year + 1}-02,2"])
         with pytest.raises(DataError, match="row 3: gap"):
-            load_series(SeriesSpec(f, Frequency.MONTHLY))
+            load_series(f, Frequency.MONTHLY)
 
     @pytest.mark.parametrize("text, error", [
         ("value,date\n1\n", "row 2: field count"),
@@ -78,38 +78,29 @@ class TestLoadSeries:
         f = tmp_path / "s.csv"
         f.write_text(text)
         with pytest.raises(DataError, match=error):
-            load_series(SeriesSpec(f, Frequency.MONTHLY))
+            load_series(f, Frequency.MONTHLY)
 
     def test_inverse_transform(self, tmp_path):
         f = tmp_path / "y.csv"
         write_csv(f, ["2004-01,5.0", "2004-02,4.0"])
-        s = load_series(SeriesSpec(f, Frequency.MONTHLY,
-                                   transform=Transform.INVERSE))
+        s = load_series(f, Frequency.MONTHLY, inverse=True)
         assert s.values == pytest.approx((0.2, 0.25))
 
     def test_inverse_of_zero_rejected(self, tmp_path):
         f = tmp_path / "y.csv"
         write_csv(f, ["2004-01,0.0"])
         with pytest.raises(DomainError):
-            load_series(SeriesSpec(f, Frequency.MONTHLY,
-                                   transform=Transform.INVERSE))
+            load_series(f, Frequency.MONTHLY, inverse=True)
 
     def test_missing_columns(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="column"):
-            load_series(SeriesSpec(f, Frequency.MONTHLY))
+            load_series(f, Frequency.MONTHLY)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
-            load_series(SeriesSpec(tmp_path / "nope.csv", Frequency.MONTHLY))
-
-    def test_custom_column_names(self, tmp_path):
-        f = tmp_path / "s.csv"
-        f.write_text("month,fao\n2004-01,107.1\n2004-02,108.9\n")
-        s = load_series(SeriesSpec(f, Frequency.MONTHLY,
-                                   date_column="month", value_column="fao"))
-        assert s.values == (107.1, 108.9)
+            load_series(tmp_path / "nope.csv", Frequency.MONTHLY)
 
 
 class TestDeriveSurplus:
@@ -133,7 +124,7 @@ class TestEmit:
         s = monthly([1.0 / 3.0, 2.0 / 7.0, 0.1], start=(2004, 11))
         dest = tmp_path / "out.csv"
         emit(s, "csv", dest)
-        back = load_series(SeriesSpec(dest, Frequency.MONTHLY))
+        back = load_series(dest, Frequency.MONTHLY)
         assert back.start == s.start
         assert back.values == s.values  # decimal repr round-trips exactly
 
@@ -141,7 +132,7 @@ class TestEmit:
         s = annual([3.25, 1e-17, 123456.789], start=(1982, 1))
         dest = tmp_path / "out.csv"
         emit(s, "csv", dest)
-        back = load_series(SeriesSpec(dest, Frequency.ANNUAL))
+        back = load_series(dest, Frequency.ANNUAL)
         assert back.values == s.values
 
     def test_phase_grid_csv_shape(self, tmp_path):
