@@ -158,8 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="calendar year searched for the switch-on month")
     p.add_argument("--exclude-window", action="append", type=_parse_window,
                    default=None, metavar="BEGIN:END",
-                   help="index windows excluded from the background trend "
-                        "(default: the 2007-08 and 2010-11 bubbles)")
+                   help="fit the paper's two stages: the background trend "
+                        "outside these index windows, then the model with "
+                        "that trend held fixed (default: one joint fit of "
+                        "the trend and the model)")
     _add_output_args(p, "json")
 
     p = sub.add_parser("correlate", help="Pearson correlation of two series")
@@ -212,11 +214,8 @@ def _run(args: argparse.Namespace):
     if args.command == "fit-combined":
         food = _load(args.food, Frequency.MONTHLY, "food")
         markets = [_load(m, Frequency.MONTHLY) for m in args.market]
-        if args.exclude_window is not None:
-            windows = args.exclude_window
-        else:
-            windows = default_bubble_windows(food)
-        trend = ethanol.quadratic_fit(food, windows)
+        trend = (None if args.exclude_window is None
+                 else ethanol.quadratic_fit(food, args.exclude_window))
         candidates = switch_candidates_for_year(food, args.switch_year)
         return combined.fit_combined(food, markets, trend, candidates)
 
@@ -228,14 +227,6 @@ def _run(args: argparse.Namespace):
     return timeseries.lagged_cross_correlation(
         _load(args.a, args.frequency), _load(args.b, args.frequency),
         args.max_lag)
-
-
-def default_bubble_windows(food: timeseries.TimeSeries) -> list[Window]:
-    """Index windows of the 2007-08 peak and the 2010-11 bubble, clipped to
-    the series span."""
-    spans = (food.indices_between(begin, end)
-             for begin, end in (((2007, 1), (2009, 1)), ((2010, 6), None)))
-    return [Window(span.start, span.stop) for span in spans if span]
 
 
 def switch_candidates_for_year(food: timeseries.TimeSeries, year: int) -> list[int]:

@@ -5,6 +5,9 @@ The recurrence is
     P(t+1) = k_c(t) + (1 - k_sd) P(t)
              + k_sp [P(t) - P(t-1)] + sum_i k_i [P_i(t) - P_i(t-1)]
 with the speculator and coupling terms switched on at a single month index.
+The constant k_c(t) = (a + b t^2) k_sd + b (2t + 1) makes the path track the
+quadratic equilibrium a + b t^2; its b (2t + 1) term compensates for the
+one-step update lag.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fitting
-from .errors import AlignmentError, DegenerateInputError
+from .errors import AlignmentError, DegenerateInputError, FitError
 from .ethanol import QuadraticTrend
 from .speculators import RegimeClassification, check_domain, classify, iterate
 from .timeseries import Frequency, TimeSeries, align, format_date, ordinal
@@ -36,15 +39,6 @@ class CombinedParams:
             raise ValueError("switch_index must be >= 1")
 
 
-def kc_of_t(trend_a: float, trend_b: float, k_sd: float, t: int) -> float:
-    """Time-dependent constant term that makes the dynamic model track the
-    quadratic equilibrium a + b*t**2; the b(2t+1) term compensates for the
-    one-step update lag."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return (trend_a + trend_b * t * t) * k_sd + trend_b * (2 * t + 1)
-
-
 def _market_arrays(markets: Sequence[TimeSeries], start: tuple[int, int],
                    frequency: Frequency, length: int) -> list[np.ndarray]:
     """Each market's ``length`` values from ``start``, paired by :func:`align`."""
@@ -58,25 +52,25 @@ def _market_arrays(markets: Sequence[TimeSeries], start: tuple[int, int],
     return [a[offset:offset + length] for a in arrays]
 
 
-def _model_terms(trend_a: float, trend_b: float, arrays: Sequence[np.ndarray],
-                 steps: int, switch: int) -> tuple[np.ndarray, ...]:
-    """The parameter-free terms of the updates t = 1..steps-1: the quadratic
-    equilibrium a + b*t**2, the lag compensation b(2t+1) of :func:`kc_of_t`,
-    the gate, 1.0 where speculators and markets act (t >= switch), and the
-    gated market differences gate * (P_i(t) - P_i(t-1)), one row per market."""
+def _model_terms(arrays: Sequence[np.ndarray], steps: int,
+                 switch: int) -> tuple[np.ndarray, ...]:
+    """The parameter-free terms of the updates t = 1..steps-1: t**2 and 2t+1
+    of k_c(t), the gate, 1.0 where speculators and markets act (t >= switch),
+    and the gated market differences gate * (P_i(t) - P_i(t-1)), one row per
+    market."""
     t = np.arange(1, steps, dtype=float)
     gate = (t >= switch).astype(float)
     diffs = np.array([m[1:steps] - m[:steps - 1] for m in arrays])
-    return (trend_a + trend_b * t * t, trend_b * (2.0 * t + 1.0), gate,
+    return (t * t, 2.0 * t + 1.0, gate,
             diffs.reshape(len(arrays), steps - 1) * gate)
 
 
 def _path(v: np.ndarray, terms: tuple[np.ndarray, ...], p0: float,
           p1: float) -> list[float]:
-    """Prices P(2)..P(steps) for v = (k_sd, k_sp, k_1..k_N)."""
-    quad, lag, gate, gated_diffs = terms
-    k_sd, k_sp = float(v[0]), float(v[1])
-    const = quad * k_sd + lag + v[2:] @ gated_diffs
+    """Prices P(2)..P(steps) for v = (k_sd, k_sp, k_1..k_N, a, b)."""
+    t2, lag, gate, gated_diffs = terms
+    k_sd, k_sp, a, b = float(v[0]), float(v[1]), float(v[-2]), float(v[-1])
+    const = (a + b * t2) * k_sd + b * lag + v[2:-2] @ gated_diffs
     return iterate(const.tolist(), ((1.0 - k_sd) + gate * k_sp).tolist(),
                    (-gate * k_sp).tolist(), p0, p1)
 
@@ -97,9 +91,9 @@ def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
         start = markets[0].start if markets else (2004, 1)
     frequency = markets[0].frequency if markets else Frequency.MONTHLY
     arrays = _market_arrays(markets, start, frequency, steps + 1)
-    terms = _model_terms(params.trend_a, params.trend_b, arrays, steps,
-                         params.switch_index)
-    v = np.array([params.k_sd, params.k_sp, *params.couplings])
+    terms = _model_terms(arrays, steps, params.switch_index)
+    v = np.array([params.k_sd, params.k_sp, *params.couplings,
+                  params.trend_a, params.trend_b])
     p0, p1 = float(p0), float(p1)
     path = _path(v, terms, p0, p1)
     return TimeSeries(start, frequency, (p0, p1, *path), "price")
@@ -114,6 +108,9 @@ class CombinedFit:
     path: TimeSeries
     switch_date: tuple[int, int]
     regime: RegimeClassification
+    #: The box ((a_lo, a_hi), (b_lo, b_hi)) of a jointly fitted trend; None
+    #: when the trend was given and held fixed.
+    trend_box: Optional[tuple[tuple[float, float], tuple[float, float]]]
 
     def to_dict(self) -> dict:
         return {
@@ -122,6 +119,10 @@ class CombinedFit:
             "couplings": list(self.params.couplings),
             "trend_a": self.params.trend_a,
             "trend_b": self.params.trend_b,
+            "trend_mode": "fixed" if self.trend_box is None else "joint",
+            "trend_box": (None if self.trend_box is None else
+                          {"a": list(self.trend_box[0]),
+                           "b": list(self.trend_box[1])}),
             "switch_index": self.params.switch_index,
             "switch_date": format_date(self.switch_date, Frequency.MONTHLY),
             "sse": self.sse,
@@ -133,18 +134,27 @@ class CombinedFit:
         }
 
 
-def _linear_seed(food: np.ndarray,
-                 terms: tuple[np.ndarray, ...]) -> Optional[np.ndarray]:
-    """One-step-ahead regression estimate of (k_sd, k_sp, k_i).
+def _linear_seed(food: np.ndarray, terms: tuple[np.ndarray, ...],
+                 trend: Optional[QuadraticTrend]) -> Optional[np.ndarray]:
+    """One-step-ahead regression estimate of (k_sd, k_sp, k_1..k_N, a, b),
+    or of (k_sd, k_sp, k_1..k_N) when the trend is given.
 
-    The recurrence is linear in the parameters when evaluated on the observed
-    path, so ordinary least squares on the one-step differences recovers them
-    exactly for noiseless data and gives a strong start otherwise.
+    Evaluated on the observed path the recurrence is linear in the
+    parameters once its trend forcing is written c0 + c1*t**2 + c2(2t+1),
+    with c0 = a*k_sd and c2 = b, so ordinary least squares on the one-step
+    differences recovers them exactly for noiseless data and gives a strong
+    start otherwise.
     """
-    quad, lag, gate, gated_diffs = terms
+    t2, lag, gate, gated_diffs = terms
     prev, cur = food[:-2], food[1:-1]
-    design = np.column_stack([quad - cur, gate * (cur - prev), gated_diffs.T])
-    target = food[2:] - cur - lag
+    target = food[2:] - cur
+    if trend is None:
+        design = np.column_stack([-cur, gate * (cur - prev), *gated_diffs,
+                                  np.ones_like(t2), t2, lag])
+    else:
+        design = np.column_stack([trend.a + trend.b * t2 - cur,
+                                  gate * (cur - prev), *gated_diffs])
+        target = target - trend.b * lag
     # LAPACK fails, or stalls, on non-finite entries
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
         return None
@@ -152,20 +162,40 @@ def _linear_seed(food: np.ndarray,
         coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     except np.linalg.LinAlgError:
         return None
+    if trend is None:
+        c0, _, c2 = coef[-3:]
+        coef = np.append(coef[:-3], (c0 / coef[0], c2))
     if not np.all(np.isfinite(coef)):
         return None
     return coef
 
 
-def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
-                 trend: QuadraticTrend,
-                 switch_candidates: Sequence[int]) -> CombinedFit:
-    """Least-squares fit of (k_sd, k_sp, k_1..k_N) with the switch month
-    selected over ``switch_candidates`` by best objective.
+def _trend_box(food: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Bounds of a and b for the joint fit: a within 10 max|food| and b
+    within 10 max|food| / n**2, so neither the intercept nor the rise
+    b*n**2 of the trend can leave ten times the data's scale."""
+    top = float(np.max(np.abs(food)))
+    scale = 10.0 * top
+    if scale == 0.0:
+        raise DegenerateInputError("constant observed series")
+    if not np.isfinite(scale):
+        raise FitError(f"no finite trend box for food values up to {top:g}")
+    b_max = scale / len(food) ** 2
+    return (-scale, scale), (-b_max, b_max)
 
-    Initial conditions come from the first two food observations; the trend
-    coefficients are taken as given (fitted upstream with the bubble windows
-    excluded).  The report is the winning candidate's, except that
+
+def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
+                 trend: Optional[QuadraticTrend] = None,
+                 switch_candidates: Sequence[int] = ()) -> CombinedFit:
+    """Least-squares fit of (k_sd, k_sp, k_1..k_N) and, unless ``trend`` is
+    given, of the trend's a and b, with the switch month selected over
+    ``switch_candidates`` by best objective.
+
+    Initial conditions come from the first two food observations.  Each
+    candidate is one bounded polish from the one-step regression of
+    :func:`_linear_seed`.  A given ``trend`` is held fixed: the paper's
+    two-stage fit, with the trend fitted upstream outside the bubble
+    windows.  The report is the winning candidate's, except that
     ``evaluations`` sums the residual calls of every candidate.
     """
     if not switch_candidates:
@@ -179,21 +209,33 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     n_markets = len(markets)
     bounds = ([(1e-4, 1.5), (0.0, 3.0)]
               + [(-1000.0, 100.0)] * n_markets)
+    # the start where the one-step regression is singular or leaves the box
+    fallback = [0.2, 1.3] + [-1.0] * n_markets
+    trend_box, fixed = None, ()
+    if trend is None:
+        trend_box = _trend_box(fv)
+        bounds += trend_box
+        fallback += [p0, 0.0]
+    else:
+        fixed = (trend.a, trend.b)
     lo, hi = np.array(bounds).T
-    # the fallback start when the one-step regression is singular
-    fallback = np.array([0.2, 1.3] + [-1.0] * n_markets)
+    fallback = np.array(fallback)
 
     best = None
     evaluations = 0
     for switch in switch_candidates:
         if switch < 1:
             raise ValueError("switch candidates must be >= 1")
-        terms = _model_terms(trend.a, trend.b, arrays, steps, switch)
-        seed = _linear_seed(fv, terms)
-        start = np.clip(fallback if seed is None else seed, lo, hi)
+        terms = _model_terms(arrays, steps, switch)
+        seed = _linear_seed(fv, terms, trend)
+        # a seed coordinate outside the box takes the fallback's: clipped to
+        # the bound, it would start the reflective steps there, and they
+        # crawl away from a bound (a wrong switch month often gives k_sd < 0)
+        start = (fallback if seed is None else
+                 np.where((lo <= seed) & (seed <= hi), seed, fallback))
 
         def residuals(v: np.ndarray, terms=terms) -> np.ndarray:
-            return fv[2:] - np.array(_path(v, terms, p0, p1))
+            return fv[2:] - np.array(_path(np.append(v, fixed), terms, p0, p1))
 
         report = fitting.minimize(residuals, [start], bounds)
         evaluations += report.evaluations
@@ -203,12 +245,15 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     switch, report = best
     report = replace(report, evaluations=evaluations)
     v = report.parameter_vector
-    params = CombinedParams(k_sd=v[0], k_sp=v[1], couplings=tuple(v[2:]),
-                            trend_a=trend.a, trend_b=trend.b,
+    trend_a, trend_b = v[-2:] if trend is None else fixed
+    params = CombinedParams(k_sd=v[0], k_sp=v[1],
+                            couplings=tuple(v[2:2 + n_markets]),
+                            trend_a=trend_a, trend_b=trend_b,
                             switch_index=switch)
     path = replace(simulate_combined(params, markets, p0, p1, steps, food.start),
                    label="fitted price")
     return CombinedFit(params=params, report=report, sse=report.objective_value,
                        r2=fitting.r_squared(food, path), path=path,
                        switch_date=food.date_at(switch),
-                       regime=classify(params.k_sd, params.k_sp))
+                       regime=classify(params.k_sd, params.k_sp),
+                       trend_box=trend_box)

@@ -30,19 +30,6 @@ class QuadraticTrend:
             raise ValueError("r_squared must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class EthanolLinkParams:
-    """Effective elasticity and constants linking diverted quantity to price."""
-
-    beta_sum: float
-    alpha_d: float
-    q_total: float
-
-    def __post_init__(self):
-        if self.beta_sum <= 0:
-            raise ValueError("beta_sum must be positive")
-
-
 def quadratic_fit(s: TimeSeries, exclude: Sequence[Window] = ()) -> QuadraticTrend:
     """OLS on y = a + b*t**2 outside the ``exclude`` windows (e.g. price
     bubbles), t in index units."""
@@ -58,12 +45,6 @@ def quadratic_fit(s: TimeSeries, exclude: Sequence[Window] = ()) -> QuadraticTre
     sse = float(np.sum((y - fitted) ** 2))
     r2 = 1.0 if sst == 0.0 else max(0.0, 1.0 - sse / sst)
     return QuadraticTrend(a=float(coef[0]), b=float(coef[1]), r_squared=r2)
-
-
-def implied_food_price(q_x: TimeSeries, link: EthanolLinkParams) -> TimeSeries:
-    """Invert the supply-shock relation: P = (Q_x - Q_t + alpha_d)/beta_sum."""
-    values = (q_x.to_array() - link.q_total + link.alpha_d) / link.beta_sum
-    return q_x.with_values(values, "implied price")
 
 
 @dataclass(frozen=True)

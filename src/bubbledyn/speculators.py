@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -96,19 +98,22 @@ def _roots(k_sd: float, k_sp: float) -> tuple[complex, complex]:
     return complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)
 
 
-def iterate(const: Sequence[float], a: Sequence[float], b: Sequence[float],
+def iterate(const: Iterable[float], a: Iterable[float], b: Iterable[float],
             p0: float, p1: float) -> list[float]:
     """Step P(t+1) = const[i] + a[i] P(t) + b[i] P(t-1) once per coefficient,
-    from P(t-1) = p0 and P(t) = p1; returns the len(const) prices after p1.
+    from P(t-1) = p0 and P(t) = p1; returns the prices after p1, one per
+    element of ``const``, which is a sequence or a counted ``repeat``.
 
     Every price path of the package (first order, second order and the
     combined model) runs through this loop over plain Python floats.
     """
-    path = []
+    # allocated up front, so that a length no memory can hold fails here
+    # with MemoryError instead of after filling the memory
+    path = [p1] * operator.length_hint(const)
     prev, cur = p0, p1
-    for c, a_i, b_i in zip(const, a, b):
+    for i, (c, a_i, b_i) in enumerate(zip(const, a, b)):
         prev, cur = cur, c + a_i * cur + b_i * prev
-        path.append(cur)
+        path[i] = cur
     return path
 
 
@@ -117,8 +122,8 @@ def simulate_first_order(params: SpeculatorParams, p0: float, steps: int) -> Tim
     if steps < 1:
         raise ValueError("steps must be >= 1")
     p0 = float(p0)
-    path = iterate([params.k_c] * steps, [1.0 - params.k_sd] * steps,
-                   [0.0] * steps, 0.0, p0)
+    path = iterate(repeat(params.k_c, steps), repeat(1.0 - params.k_sd),
+                   repeat(0.0), 0.0, p0)
     return TimeSeries((2000, 1), Frequency.MONTHLY, (p0, *path), "price")
 
 
@@ -137,8 +142,8 @@ def simulate_second_order(params: SpeculatorParams, p0: float, p1: float,
         raise ValueError("steps must be >= 2")
     p0, p1 = float(p0), float(p1)
     n = steps - 1
-    path = iterate([params.k_c] * n, [1.0 + params.k_sp - params.k_sd] * n,
-                   [-params.k_sp] * n, p0, p1)
+    path = iterate(repeat(params.k_c, n), repeat(1.0 + params.k_sp - params.k_sd),
+                   repeat(-params.k_sp), p0, p1)
     return TimeSeries((2000, 1), Frequency.MONTHLY, (p0, p1, *path), "price")
 
 

@@ -272,11 +272,3 @@ def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> La
             entries.append((lag, _pearson(ax, ay)))
     return LagScan(tuple(entries), tuple(omitted))
 
-
-def deflate(nominal: TimeSeries, cpi: TimeSeries) -> TimeSeries:
-    """Divide out a price index, re-based to the first common observation."""
-    nv, cv, start = align(nominal, cpi)
-    if np.any(cv <= 0):
-        raise DomainError("CPI values must be strictly positive")
-    deflated = nv / cv * cv[0]
-    return TimeSeries(start, nominal.frequency, tuple(deflated), nominal.label)

@@ -22,7 +22,7 @@ from bubbledyn import (Frequency, QuadraticTrend, Regime, TimeSeries,
                        quadratic_fit, shock_update, simulate_first_order,
                        simulate_second_order, trend_comparison)
 from bubbledyn import SpeculatorParams, emit
-from bubbledyn.cli import default_bubble_windows, switch_candidates_for_year
+from bubbledyn.cli import switch_candidates_for_year
 
 import regime_sampling
 from conftest import ACCEPTANCE_LINES, fixture_path, require_fixtures
@@ -57,6 +57,14 @@ def clip(s: TimeSeries, begin, end) -> TimeSeries:
     """Inclusive calendar slice [begin, end]."""
     i, j = s.index_of(begin), s.index_of(end) + 1
     return TimeSeries(begin, s.frequency, s.values[i:j], s.label)
+
+
+def default_bubble_windows(food: TimeSeries) -> list[Window]:
+    """Index windows of the 2007-08 peak and the 2010-11 bubble, clipped to
+    the series span: the windows of the paper's two-stage trend fit."""
+    spans = (food.indices_between(begin, end)
+             for begin, end in (((2007, 1), (2009, 1)), ((2010, 6), None)))
+    return [Window(span.start, span.stop) for span in spans if span]
 
 
 @criterion(1, "closed form matches iteration in every regime")

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bubbledyn import DataError, pearson_correlation, phase_grid
+from bubbledyn import (DataError, Window, pearson_correlation, phase_grid,
+                       quadratic_fit)
 from bubbledyn.cli import (EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, build_parser,
-                           default_bubble_windows, main,
-                           switch_candidates_for_year)
+                           main, switch_candidates_for_year)
 
 from conftest import annual, monthly
+from test_acceptance import default_bubble_windows
 from test_deferred_import import SRC
 from test_timeseries import month_walk
 
@@ -193,11 +194,53 @@ class TestFitCombinedCommand:
             "-o", str(dest))
         assert code == EXIT_OK, err
         payload = json.loads(dest.read_text())
-        # generated data carries its own bubble, so the refit trend differs a
-        # little from the generator's; only sanity-check the fit here
-        assert payload["switch_date"].startswith("2007")
-        assert payload["k_sd"] > 0
-        assert "k_sp" in payload and "couplings" in payload
+        # the joint fit recovers the generator, trend included
+        assert payload["switch_date"] == "2007-05"
+        assert payload["trend_mode"] == "joint"
+        for name in ("k_sd", "k_sp", "trend_a", "trend_b"):
+            assert payload[name] == pytest.approx(TRUTH[name], rel=1e-6)
+        assert payload["couplings"] == pytest.approx(TRUTH["couplings"],
+                                                     rel=1e-6)
+
+    def test_bounded_generator(self, capsys, tmp_path):
+        """A generator whose prices stay > 0 comes back through the CLI:
+        the exact month, and k_sd, k_sp and the couplings to 1e-8."""
+        from test_combined import BOUNDED, make_food
+
+        food, markets = make_food(88, BOUNDED)
+        assert min(food.values) > 0
+        write_series_csv(tmp_path / "food.csv", food.values)
+        write_series_csv(tmp_path / "equity.csv", markets[0].values)
+        write_series_csv(tmp_path / "yields.csv",
+                         [1.0 / v for v in markets[1].values])
+        code, out, err = run(
+            capsys, "fit-combined", "--food", str(tmp_path / "food.csv"),
+            "--market", str(tmp_path / "equity.csv"),
+            "--market", str(tmp_path / "yields.csv") + ":inverse")
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        assert report["switch_date"] == "2007-05"
+        assert report["k_sd"] == pytest.approx(BOUNDED["k_sd"], rel=1e-8)
+        assert report["k_sp"] == pytest.approx(BOUNDED["k_sp"], rel=1e-8)
+        assert report["couplings"] == pytest.approx(BOUNDED["couplings"],
+                                                    rel=1e-8)
+
+    def test_exclude_window_holds_the_two_stage_trend(self, capsys, tmp_path):
+        from test_combined import make_food
+
+        food, markets = make_food(88)
+        write_series_csv(tmp_path / "food.csv", food.values)
+        write_series_csv(tmp_path / "equity.csv", markets[0].values)
+        code, out, err = run(
+            capsys, "fit-combined", "--food", str(tmp_path / "food.csv"),
+            "--market", str(tmp_path / "equity.csv"),
+            "--exclude-window", "36:60", "--exclude-window", "77:88")
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        trend = quadratic_fit(food, [Window(36, 60), Window(77, 88)])
+        assert report["trend_mode"] == "fixed"
+        assert report["trend_box"] is None
+        assert (report["trend_a"], report["trend_b"]) == (trend.a, trend.b)
 
     def test_output_bytes(self, capsys, tmp_path):
         from test_combined import make_food
@@ -213,11 +256,12 @@ class TestFitCombinedCommand:
             "--market", str(tmp_path / "yields.csv") + ":inverse")
         assert code == EXIT_OK, err
         report = json.loads(out)
-        # the switch month and no worse an SSE than scipy's own solver reached
-        assert report["switch_date"] == "2007-01"
+        # the generator's switch month, and no worse an SSE than scipy's own
+        # solver reached on the two-stage fit
+        assert report["switch_date"] == "2007-05"
         assert report["sse"] <= 17069683.100586947 * (1 + 1e-9)
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "0a2936b9bb455f198a7040632999bfcf96aef8afea2f6e5a6e90009b06609432"
+            "c6194562a5e85f1bee2cea4f762a4ca745fe18bbac121113802c3fb4162f963f"
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit-combined", "--food",

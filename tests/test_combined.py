@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubbledyn import (AlignmentError, CombinedParams, Frequency, QuadraticTrend,
-                       Regime, Window, combined, fit_combined, fitting, kc_of_t,
-                       quadratic_fit, simulate_combined)
+from bubbledyn import (AlignmentError, CombinedParams, DegenerateInputError,
+                       FitError, Frequency, QuadraticTrend, Regime, Window,
+                       combined, fit_combined, fitting, quadratic_fit,
+                       simulate_combined)
 
 from conftest import annual, monthly
 
@@ -22,10 +23,15 @@ def make_markets(n_months, start=(2004, 1)):
 TRUTH = dict(k_sd=0.098, k_sp=1.29, couplings=(-0.095, -67.9),
              trend_a=105.0, trend_b=0.01, switch_index=40)
 
+#: A damped generator beside TRUTH, whose path (105 to 180) stays in the
+#: price domain, unlike TRUTH's (down to -1,556).
+BOUNDED = dict(k_sd=0.3, k_sp=0.6, couplings=(-0.05, -20.0),
+               trend_a=105.0, trend_b=0.01, switch_index=40)
 
-def make_food(n_months=88):
+
+def make_food(n_months=88, truth=TRUTH):
     markets = make_markets(n_months)
-    params = CombinedParams(**TRUTH)
+    params = CombinedParams(**truth)
     return simulate_combined(params, markets, 105.0, 105.5, n_months - 1), markets
 
 
@@ -35,9 +41,6 @@ class TestKcOfT:
                                 trend_a=80.0, trend_b=0.0, switch_index=1)
         path = simulate_combined(params, [], 80.0, 80.0, 12).to_array()
         assert path == pytest.approx(np.full(13, 80.0))
-
-    def test_direct_arithmetic(self):
-        assert kc_of_t(0.0, 1.0, 1.0, 2) == pytest.approx(9.0)
 
     def test_trend_tracking_is_exact_from_matched_start(self):
         a, b = 105.0, 0.01
@@ -145,18 +148,36 @@ class TestFitCombined:
         assert fit.regime.label is Regime.AMPLIFIED_OSCILLATION
         assert fit.switch_date == (2007, 5)
 
+    def test_joint_fit_recovers_trend_and_month(self):
+        food, markets = make_food()
+        fit = fit_combined(food, markets, switch_candidates=[38, 40, 42])
+        assert fit.params.switch_index == 40
+        for name in ("k_sd", "k_sp", "trend_a", "trend_b"):
+            assert getattr(fit.params, name) == pytest.approx(TRUTH[name],
+                                                              rel=1e-8)
+        scale = 10.0 * np.max(np.abs(food.to_array()))
+        assert fit.trend_box == ((-scale, scale), (-scale / 88**2, scale / 88**2))
+        assert fit.to_dict()["trend_mode"] == "joint"
+
+    def test_trend_box_needs_a_finite_nonzero_scale(self):
+        with pytest.raises(FitError, match="no finite trend box"):
+            combined._trend_box(np.array([105.0, 1e308, 106.0]))
+        with pytest.raises(DegenerateInputError, match="constant"):
+            combined._trend_box(np.zeros(5))
+
     def test_fallback_start_recovers_truth(self, monkeypatch):
         # the start used where the one-step regression gives no seed
-        monkeypatch.setattr(combined, "_linear_seed", lambda food, terms: None)
+        monkeypatch.setattr(combined, "_linear_seed", lambda *args: None)
         food, markets = make_food(60)
         trend = QuadraticTrend(a=TRUTH["trend_a"], b=TRUTH["trend_b"],
                                r_squared=1.0)
-        fit = fit_combined(food, markets, trend, switch_candidates=[40])
-        assert fit.params.k_sd == pytest.approx(TRUTH["k_sd"], rel=0.05)
-        assert fit.params.k_sp == pytest.approx(TRUTH["k_sp"], rel=0.05)
-        for got, want in zip(fit.params.couplings, TRUTH["couplings"]):
-            assert got == pytest.approx(want, rel=0.10)
-        assert fit.sse < 1e-6
+        for given in (trend, None):
+            fit = fit_combined(food, markets, given, switch_candidates=[40])
+            assert fit.params.k_sd == pytest.approx(TRUTH["k_sd"], rel=0.05)
+            assert fit.params.k_sp == pytest.approx(TRUTH["k_sp"], rel=0.05)
+            for got, want in zip(fit.params.couplings, TRUTH["couplings"]):
+                assert got == pytest.approx(want, rel=0.10)
+            assert fit.sse < 1e-6
 
     def test_no_seed_from_non_finite_terms(self, monkeypatch):
         # lstsq on non-finite input fails in LAPACK or does not return
@@ -164,11 +185,14 @@ class TestFitCombined:
         food, markets = make_food(30)
         fv = food.to_array()
         arrays = [m.to_array() for m in markets]
-        terms = combined._model_terms(105.0, 0.01, arrays, 29, 10)
+        terms = combined._model_terms(arrays, 29, 10)
         arrays[0][20] = np.inf
-        spoiled_terms = combined._model_terms(105.0, 0.01, arrays, 29, 10)
-        assert combined._linear_seed(np.append(fv[:-1], np.inf), terms) is None
-        assert combined._linear_seed(fv, spoiled_terms) is None
+        spoiled_terms = combined._model_terms(arrays, 29, 10)
+        trend = QuadraticTrend(a=105.0, b=0.01, r_squared=1.0)
+        for given in (trend, None):
+            assert combined._linear_seed(np.append(fv[:-1], np.inf), terms,
+                                         given) is None
+            assert combined._linear_seed(fv, spoiled_terms, given) is None
 
     def test_report_serializable(self):
         import json

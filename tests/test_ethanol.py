@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bubbledyn import (DegenerateInputError, EthanolLinkParams, Window,
-                       implied_food_price, quadratic_fit, trend_comparison)
+from bubbledyn import (DegenerateInputError, Window, quadratic_fit,
+                       trend_comparison)
 
 from conftest import annual
 
@@ -46,36 +46,6 @@ class TestQuadraticFit:
         residuals = s.to_array() - (trend.a + trend.b * t * t)
         assert abs(residuals.sum()) < 1e-8
         assert abs((residuals * t * t).sum()) < 1e-8
-
-
-class TestImpliedFoodPrice:
-    def test_zero_numerator(self):
-        link = EthanolLinkParams(beta_sum=2.0, alpha_d=95.0, q_total=100.0)
-        q_x = annual([5.0, 5.0, 5.0])
-        assert implied_food_price(q_x, link).values == pytest.approx((0.0,) * 3)
-
-    def test_hand_arithmetic(self):
-        link = EthanolLinkParams(beta_sum=2.0, alpha_d=95.0, q_total=100.0)
-        out = implied_food_price(annual([10.0, 20.0, 30.0]), link)
-        assert out.values == pytest.approx((2.5, 7.5, 12.5))
-
-    def test_doubling_beta_sum_halves_price(self):
-        q_x = annual([12.0, 40.0, 33.0])
-        p1 = implied_food_price(q_x, EthanolLinkParams(2.0, 95.0, 100.0))
-        p2 = implied_food_price(q_x, EthanolLinkParams(4.0, 95.0, 100.0))
-        assert p2.to_array() == pytest.approx(p1.to_array() / 2.0)
-
-    def test_affine_slope_property(self):
-        link = EthanolLinkParams(beta_sum=3.0, alpha_d=50.0, q_total=80.0)
-        q_x = annual([10.0, 25.0, 18.0])
-        shifted = q_x.with_values([v + 6.0 for v in q_x.values])
-        diff = (implied_food_price(shifted, link).to_array()
-                - implied_food_price(q_x, link).to_array())
-        assert diff == pytest.approx(np.full(3, 6.0 / 3.0))
-
-    def test_nonpositive_beta_sum_rejected(self):
-        with pytest.raises(ValueError):
-            EthanolLinkParams(beta_sum=0.0, alpha_d=1.0, q_total=1.0)
 
 
 class TestTrendComparison:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bubbledyn import (AlignmentError, DegenerateInputError, DomainError,
-                       Frequency, TimeSeries, Window, box_cox, deflate,
+                       Frequency, TimeSeries, Window, box_cox,
                        inverse_box_cox, lagged_cross_correlation,
                        normalize_unit_interval, pearson_correlation)
 from bubbledyn.timeseries import LAMBDA_EPS, _pearson, align, ordinal
@@ -275,22 +275,3 @@ class TestLaggedCrossCorrelation:
         with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
             lagged_cross_correlation(xs, ys, 2)
 
-
-class TestDeflate:
-    def test_constant_cpi_is_identity(self):
-        nominal = annual([100.0, 110.0, 95.0])
-        cpi = annual([50.0, 50.0, 50.0])
-        assert deflate(nominal, cpi).values == pytest.approx(nominal.values)
-
-    def test_proportional_growth_cancels(self):
-        nominal = annual([100.0, 200.0, 400.0])
-        cpi = annual([1.0, 2.0, 4.0])
-        assert deflate(nominal, cpi).values == pytest.approx((100.0,) * 3)
-
-    def test_hand_arithmetic(self):
-        out = deflate(annual([100.0, 110.0]), annual([100.0, 105.0]))
-        assert out.values == pytest.approx((100.0, 110.0 / 105.0 * 100.0))
-
-    def test_nonpositive_cpi_rejected(self):
-        with pytest.raises(DomainError):
-            deflate(annual([1.0, 2.0]), annual([1.0, 0.0]))
