@@ -237,7 +237,7 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
         def residuals(v: np.ndarray, terms=terms) -> np.ndarray:
             return fv[2:] - np.array(_path(np.append(v, fixed), terms, p0, p1))
 
-        report = fitting.minimize(residuals, [start], bounds)
+        report = fitting.minimize(residuals, start, bounds)
         evaluations += report.evaluations
         if best is None or report.objective_value < best[1].objective_value:
             best = (switch, report)

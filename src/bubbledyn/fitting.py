@@ -1,9 +1,9 @@
 """Shared bounded least-squares fitting and regression utilities.
 
 Both fitted models minimise a sum of squared residuals over a box in 3-5
-dimensions.  Each start runs one trust-region-reflective solve (Branch,
-Coleman & Li 1999), which keeps every iterate inside the box, so no bound
-penalty is needed.  Points where the model is undefined return non-finite
+dimensions.  A :func:`minimize` call runs one trust-region-reflective solve
+(Branch, Coleman & Li 1999), which keeps every iterate inside the box, so no
+bound penalty is needed.  Points where the model is undefined return non-finite
 residuals, on which the solver shrinks its step.
 
 :func:`least_squares` is a numpy port of the path of
@@ -262,7 +262,7 @@ def least_squares(fun, x0, bounds) -> LeastSquaresResult:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a multi-start minimization."""
+    """Outcome of one bounded least-squares solve."""
 
     parameter_vector: tuple[float, ...]
     objective_value: float
@@ -271,28 +271,26 @@ class FitReport:
 
 
 def minimize(residuals: Callable[[np.ndarray], np.ndarray],
-             starts: Sequence[Sequence[float]],
+             start: Sequence[float],
              bounds: Sequence[tuple[float, float]]) -> FitReport:
-    """Bounded least squares from every start; returns the best terminal point.
+    """Bounded least squares from ``start``; returns the terminal point.
 
     ``objective_value`` is the sum of squared residuals there, ``converged``
-    the winning start's success flag, and ``evaluations`` every call of
-    ``residuals``, finite-difference Jacobians and start checks included.
-    Deterministic given identical inputs.  Raises :class:`FitError` when no
-    start has finite residuals, or every solve met a non-finite Jacobian or
-    ended at a sum of squares that overflows.
+    the solve's success flag, and ``evaluations`` every call of
+    ``residuals``, finite-difference Jacobians and the start check included.
+    Deterministic given identical inputs.  Raises :class:`FitError` that
+    names the cause when the start's residuals are not finite, the solve
+    meets a non-finite Jacobian, or it ends at a sum of squares that
+    overflows.
     """
-    if not starts:
-        raise FitError("minimize requires at least one start")
     lo, hi = np.array(bounds, dtype=float).T
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
         raise ValueError("bounds must be finite with lo < hi")
-    starts = [np.asarray(s, dtype=float) for s in starts]
-    for s in starts:
-        if s.shape != lo.shape:
-            raise ValueError("start dimensionality does not match bounds")
-        if not np.all((lo <= s) & (s <= hi)):
-            raise ValueError("start lies outside the bounds")
+    start = np.asarray(start, dtype=float)
+    if start.shape != lo.shape:
+        raise ValueError("start dimensionality does not match bounds")
+    if not np.all((lo <= start) & (start <= hi)):
+        raise ValueError("start lies outside the bounds")
 
     evaluations = 0
 
@@ -301,22 +299,16 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
         evaluations += 1
         return np.asarray(residuals(x), dtype=float)
 
-    best = None
-    for start in starts:
-        if not np.all(np.isfinite(counted(start))):
-            continue
-        try:
-            res = least_squares(counted, start, bounds=(lo, hi))
-        except NonFiniteJacobian:
-            # a finite-difference step into a non-finite region ends the start
-            continue
-        sse = float(res.fun @ res.fun)
-        if np.isfinite(sse) and (best is None or sse < best[1]):
-            best = (res, sse)
-    if best is None:
-        raise FitError("no start has finite residuals, a finite Jacobian "
-                       "and a finite sum of squares")
-    res, sse = best
+    if not np.all(np.isfinite(counted(start))):
+        raise FitError("the residuals at the start are not finite")
+    try:
+        res = least_squares(counted, start, bounds=(lo, hi))
+    except NonFiniteJacobian:
+        # a finite-difference step into a non-finite region ends the solve
+        raise FitError("the solve met a non-finite Jacobian") from None
+    sse = float(res.fun @ res.fun)
+    if not np.isfinite(sse):
+        raise FitError("the sum of squares at the fitted point overflows")
     return FitReport(parameter_vector=tuple(float(v) for v in res.x),
                      objective_value=sse,
                      evaluations=evaluations,

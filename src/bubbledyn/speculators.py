@@ -124,7 +124,8 @@ def simulate_first_order(params: SpeculatorParams, p0: float, steps: int) -> Tim
     p0 = float(p0)
     path = iterate(repeat(params.k_c, steps), repeat(1.0 - params.k_sd),
                    repeat(0.0), 0.0, p0)
-    return TimeSeries((2000, 1), Frequency.MONTHLY, (p0, *path), "price")
+    path.insert(0, p0)
+    return TimeSeries((2000, 1), Frequency.MONTHLY, path, "price")
 
 
 def closed_form_first_order(params: SpeculatorParams, p_init: float, t: int) -> float:
@@ -144,7 +145,8 @@ def simulate_second_order(params: SpeculatorParams, p0: float, p1: float,
     n = steps - 1
     path = iterate(repeat(params.k_c, n), repeat(1.0 + params.k_sp - params.k_sd),
                    repeat(-params.k_sp), p0, p1)
-    return TimeSeries((2000, 1), Frequency.MONTHLY, (p0, p1, *path), "price")
+    path[:0] = (p0, p1)
+    return TimeSeries((2000, 1), Frequency.MONTHLY, path, "price")
 
 
 def oscillation_theta(k_sd: float, k_sp: float) -> float:

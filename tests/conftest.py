@@ -1,3 +1,4 @@
+import itertools
 import os
 from pathlib import Path
 
@@ -42,3 +43,8 @@ def monthly(values, start=(2004, 1), label=""):
 
 def annual(values, start=(1990, 1), label=""):
     return TimeSeries(start, Frequency.ANNUAL, tuple(values), label)
+
+
+#: The (lambda, beta_d, beta_s) start grid that fit_supply_demand ran before
+#: it took one start, (0.9, 1.0, 0.3), its index 8.
+FIT_SD_GRID = list(itertools.product((0.6, 0.9, 1.1), (0.3, 1.0, 3.0), (0.3, 1.5)))

@@ -159,7 +159,7 @@ class TestFitCommands:
         # no worse than the objective scipy's own solver reached here
         assert report["objective"] <= 0.05281463364204926 * (1 + 1e-9)
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "aee593424a21aad196a0d78d706c747c14aacaa348d452579fa8e34759483cac"
+            "ee5ad659bf0b0159908d94cee5bad720a5e1498c6d6fe0b043cd912704b86c22"
 
     def test_fit_ethanol_output_bytes(self, capsys, tmp_path):
         write_annual_csv(tmp_path / "e.csv", [1.5, 1.75, 2.25, 2.5, 3.5, 4.0,

@@ -212,14 +212,14 @@ class TestFitCombined:
         reports = []
         real = fitting.minimize
 
-        def counting(residuals, starts, bounds):
+        def counting(residuals, start, bounds):
             calls = [0]
 
             def counted(v):
                 calls[0] += 1
                 return residuals(v)
 
-            report = real(counted, starts, bounds)
+            report = real(counted, start, bounds)
             reports.append((report, calls[0]))
             return report
 

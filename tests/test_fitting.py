@@ -9,7 +9,7 @@ from conftest import annual
 class TestMinimize:
     def test_convex_1d(self):
         report = minimize(lambda v: [v[0] - 3.0],
-                          starts=[(0.0,)], bounds=[(-10.0, 10.0)])
+                          start=(0.0,), bounds=[(-10.0, 10.0)])
         assert report.parameter_vector[0] == pytest.approx(3.0, abs=1e-6)
         assert report.objective_value < 1e-10
 
@@ -18,94 +18,83 @@ class TestMinimize:
             x, y = v
             return [1 - x, 10 * (y - x * x)]
 
-        starts = [(-1.5, 2.0), (0.0, 0.0), (2.0, -1.0), (0.5, 2.5), (-2.0, -2.0)]
-        report = minimize(rosenbrock, starts, bounds=[(-5.0, 5.0)] * 2)
-        assert report.parameter_vector == pytest.approx((1.0, 1.0), abs=1e-4)
+        for start in [(-1.5, 2.0), (0.0, 0.0), (2.0, -1.0), (0.5, 2.5), (-2.0, -2.0)]:
+            report = minimize(rosenbrock, start, bounds=[(-5.0, 5.0)] * 2)
+            assert report.parameter_vector == pytest.approx((1.0, 1.0), abs=1e-4)
 
-    def test_all_starts_infeasible(self):
+    def test_all_starts_infeasible(self, monkeypatch):
+        # an infeasible start fails before the solver runs
+        monkeypatch.setattr(fitting, "least_squares", None)
+        calls = []
         with pytest.raises(FitError):
-            minimize(lambda v: [np.nan], starts=[(0.0,), (1.0,)],
+            minimize(lambda v: calls.append(v) or [np.nan], start=(0.0,),
                      bounds=[(-5.0, 5.0)])
-
-    def test_overflowing_sum_of_squares_ends_the_start(self):
-        # every residual is finite, but their sum of squares is not
-        with np.errstate(all="ignore"), \
-                pytest.raises(FitError, match="finite sum of squares"):
-            minimize(lambda v: np.full(3, 1e200) + v, starts=[(0.5,)],
-                     bounds=[(0.0, 1.0)])
+        assert len(calls) == 1
 
     def test_non_finite_jacobian_ends_only_that_start(self):
         def edge(v):
             # the optimum x = 2 lies past the edge of the finite region
             return [v[0] - 2.0, v[1]] if v[0] <= 1.0 else [np.nan, np.nan]
 
-        bounds = [(-5.0, 5.0)] * 2
-        with pytest.raises(FitError):
-            minimize(edge, starts=[(0.0, 1.0)], bounds=bounds)
-        report = minimize(lambda v: edge(v) if v[0] < 3.0 else [v[0] - 4.0, v[1]],
-                          starts=[(0.0, 1.0), (3.5, 1.0)], bounds=bounds)
-        assert report.parameter_vector == pytest.approx((4.0, 0.0), abs=1e-6)
+        with pytest.raises(FitError, match="non-finite Jacobian"):
+            minimize(edge, start=(0.0, 1.0), bounds=[(-5.0, 5.0)] * 2)
 
-    def test_monotone_across_restarts(self):
-        def bumpy(v):
-            # squares to sin(3x) + 0.1 x^2 + 2, which is >= 1
-            return [np.sqrt(np.sin(3 * v[0]) + 0.1 * v[0] ** 2 + 2.0)]
-
-        starts = [(-4.0,), (-1.0,), (0.5,), (3.0,)]
-        report = minimize(bumpy, starts, bounds=[(-6.0, 6.0)])
-        for s in starts:
-            assert report.objective_value <= bumpy(np.array(s))[0] ** 2 + 1e-12
+    @pytest.mark.parametrize("residuals, start, bounds, message", [
+        pytest.param(lambda v: [np.nan], (0.0,), [(-5.0, 5.0)],
+                     "residuals at the start are not finite", id="start"),
+        # finite only at the start, so its first difference quotient is not
+        pytest.param(lambda v: [v[0]] if v[0] == 0.5 else [np.nan], (0.5,),
+                     [(0.0, 1.0)], "non-finite Jacobian", id="jacobian"),
+        # every residual is finite, but their sum of squares is not
+        pytest.param(lambda v: np.full(3, 1e200) + v, (0.5,), [(0.0, 1.0)],
+                     "sum of squares at the fitted point overflows", id="overflow"),
+    ])
+    def test_fit_error_names_its_cause(self, residuals, start, bounds, message):
+        with np.errstate(all="ignore"), pytest.raises(FitError, match=message):
+            minimize(residuals, start, bounds)
 
     def test_deterministic(self):
         def f(v):
             return [v[0] - 1, (v[1] + 2) ** 2]
 
-        kwargs = dict(starts=[(0.0, 0.0), (3.0, 1.0)], bounds=[(-5.0, 5.0)] * 2)
+        kwargs = dict(start=(3.0, 1.0), bounds=[(-5.0, 5.0)] * 2)
         assert minimize(f, **kwargs) == minimize(f, **kwargs)
 
     def test_start_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            minimize(lambda v: [0.0], starts=[(0.0, 0.0)], bounds=[(-1.0, 1.0)])
+            minimize(lambda v: [0.0], start=(0.0, 0.0), bounds=[(-1.0, 1.0)])
 
     def test_infinite_bounds(self):
         # the solver handles only the finite boxes the models use
         with pytest.raises(ValueError, match="finite"):
-            minimize(lambda v: [v[0]], starts=[(0.0,)], bounds=[(-np.inf, 1.0)])
+            minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-np.inf, 1.0)])
 
     def test_start_outside_bounds(self):
         with pytest.raises(ValueError, match="outside the bounds"):
-            minimize(lambda v: [v[0]], starts=[(2.0,)], bounds=[(-1.0, 1.0)])
+            minimize(lambda v: [v[0]], start=(2.0,), bounds=[(-1.0, 1.0)])
 
     def test_evaluations_count_every_residual_call(self):
         calls = []
 
         def residuals(v):
             calls.append(tuple(v))
-            if v[0] > 4.0:  # makes the last start infeasible
-                return [np.nan, np.nan]
             return [1 - v[0], 10 * (v[1] - v[0] ** 2)]
 
-        report = minimize(residuals, starts=[(-1.5, 2.0), (0.0, 0.0), (4.5, 0.0)],
-                          bounds=[(-5.0, 5.0)] * 2)
+        report = minimize(residuals, start=(-1.5, 2.0), bounds=[(-5.0, 5.0)] * 2)
         assert report.evaluations == len(calls)
-        assert (4.5, 0.0) in calls
+        assert calls[0] == (-1.5, 2.0)
 
-    @pytest.mark.parametrize("outcomes", [[(2.0, True), (1.0, False)],
-                                          [(2.0, False), (1.0, True)]])
-    def test_converged_follows_winning_start(self, monkeypatch, outcomes):
-        results = iter(outcomes)
-
+    @pytest.mark.parametrize("success", [True, False])
+    def test_converged_is_the_solve_success(self, monkeypatch, success):
         def least_squares(fun, x0, **kwargs):
-            residual, success = next(results)
-            return fitting.LeastSquaresResult(x=x0, fun=np.array([residual]),
+            return fitting.LeastSquaresResult(x=x0 + 0.5, fun=np.array([1.0]),
                                               success=success)
 
         monkeypatch.setattr(fitting, "least_squares", least_squares)
-        report = minimize(lambda v: [v[0]], starts=[(0.0,), (0.5,)],
-                          bounds=[(-1.0, 1.0)])
+        report = minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-1.0, 1.0)])
         assert report.parameter_vector == (0.5,)
         assert report.objective_value == 1.0
-        assert report.converged is outcomes[1][1]
+        assert report.converged is success
 
 
 class TestRSquared:

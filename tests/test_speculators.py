@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -170,6 +172,29 @@ class TestIterateKernel:
         assert iterate([1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], 3.0, 5.0) \
             == [1.0 + 10.0 - 3.0, 1.0 + 16.0 - 5.0]
         assert iterate([], [], [], 3.0, 5.0) == []
+
+    @pytest.mark.parametrize("simulate", [  # each steps iterate n times
+        pytest.param(lambda params, n: simulate_first_order(params, 1.0, n),
+                     id="first-order"),
+        pytest.param(lambda params, n: simulate_second_order(params, 1.0, 1.0, n + 1),
+                     id="second-order")])
+    def test_simulators_hold_the_path_about_once(self, simulate):
+        # the series takes the stepped list itself, so a simulator peaks at
+        # iterate's own peak plus one copy of the references, 8 bytes a step
+        params, steps = SpeculatorParams(0.5, 0.2, 1.0), 200_000
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = peak(lambda: iterate(repeat(1.0, steps), repeat(0.7), repeat(-0.2),
+                                     1.0, 1.0))
+        simulated = peak(lambda: simulate(params, steps))
+        assert simulated - alone <= 1.5 * 8 * steps
 
 
 class TestClassify:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubbledyn import (DegenerateInputError, SupplyDemandParams, box_cox,
-                       equilibrium, fit_supply_demand, shock_update,
-                       simulate_equilibrium_path)
+from bubbledyn import (DegenerateInputError, FitError, SupplyDemandParams,
+                       box_cox, equilibrium, fit_supply_demand, fitting,
+                       shock_update, simulate_equilibrium_path)
 from bubbledyn.supply_demand import _determined_params
 
-from conftest import annual
+from conftest import FIT_SD_GRID, annual
 
 
 class TestShockUpdate:
@@ -186,8 +186,68 @@ class TestFit:
         assert fit.residual_consumption.values \
             == tuple(cons - again.quantities.to_array())
 
+    def test_start_slopes_keep_its_path_in_the_price_domain(self):
+        # a surplus run takes this path's transformed price at (0.9, 1, 0.3)
+        # below -1/0.9, where the residuals are not finite
+        rng = np.random.default_rng(2708)
+        truth = SupplyDemandParams(rng.uniform(0.75, 1.05), 300.0,
+                                   rng.uniform(0.5, 2.5), 150.0,
+                                   rng.uniform(0.3, 1.5))
+        surplus = annual(rng.normal(scale=8.0, size=15), start=(1982, 1))
+        path = simulate_equilibrium_path(surplus, truth)
+        fit = fit_supply_demand(path.prices, path.quantities, surplus)
+        assert fit.report.converged
+        assert fit.report.objective_value < 1e-15
+
     def test_too_short_series_rejected(self):
         with pytest.raises(DegenerateInputError):
             fit_supply_demand(annual([10.0, 11.0, 12.0]),
                               annual([5.0, 6.0, 7.0]),
                               annual([0.0, 1.0, -1.0]))
+
+
+def benchmark_problem(rng, noise):
+    """Price, consumption and surplus of 20 years drawn as the benchmark's
+    fit-sd jobs draw them: the model with its intercepts pinned to the first
+    observation, and with noise, 1% relative noise after it."""
+    lam = rng.uniform(0.75, 1.05)
+    beta_d, beta_s = rng.uniform(0.5, 2.5), rng.uniform(0.3, 1.5)
+    p0 = np.expm1(lam * np.log(rng.uniform(150.0, 250.0))) / lam
+    q0 = np.expm1(lam * np.log(rng.uniform(550.0, 650.0))) / lam
+    alpha_d, alpha_s = q0 + beta_d * p0, q0 - beta_s * p0
+    surplus = rng.normal(0.0, 4.0, 20)
+    prices, quantities = np.empty(20), np.empty(20)
+    for t in range(20):
+        if t > 0:
+            alpha_d -= min(surplus[t - 1], 0.0)
+            alpha_s += max(surplus[t - 1], 0.0)
+        prices[t] = (alpha_d - alpha_s) / (beta_d + beta_s)
+        quantities[t] = (alpha_d * beta_s + alpha_s * beta_d) / (beta_d + beta_s)
+    price = np.exp(np.log1p(lam * prices) / lam)
+    consumption = np.exp(np.log1p(lam * quantities) / lam)
+    if noise:
+        price[1:] *= 1.0 + rng.normal(0.0, 0.01, 19)
+        consumption[1:] *= 1.0 + rng.normal(0.0, 0.01, 19)
+    return annual(price), annual(consumption), annual(surplus)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_start_matches_the_old_grid(monkeypatch, seed):
+    noise = seed % 2 == 1
+    problem = benchmark_problem(np.random.default_rng(seed), noise)
+    solves = []
+    real = fitting.minimize
+    monkeypatch.setattr(fitting, "minimize",
+                        lambda *args: solves.append(args) or real(*args))
+    fit = fit_supply_demand(*problem)
+    (residuals, _, bounds), = solves
+    grid = []
+    for start in FIT_SD_GRID:
+        try:
+            grid.append(real(residuals, start, bounds).objective_value)
+        except FitError:  # the grid skipped such starts
+            pass
+    if noise:
+        assert fit.report.objective_value <= min(grid) * (1 + 1e-9)
+    else:
+        assert fit.report.objective_value <= 1e-15

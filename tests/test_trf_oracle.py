@@ -9,13 +9,15 @@ import pytest
 
 from bubbledyn import fit_supply_demand, fitting
 
-from conftest import annual
+from conftest import FIT_SD_GRID, annual
 
 optimize = pytest.importorskip("scipy.optimize")
 
 
 def fit_sd_golden_problems():
-    """(residuals, start, bounds) of every start of the fit-sd CLI golden."""
+    """(residuals, start, bounds) of the fit-sd CLI golden from every point
+    of the start grid the fit once ran; the golden's one solve starts at
+    (0.9, 1.0, 0.3)."""
     problems = []
     solve = fitting.least_squares
 
@@ -35,7 +37,9 @@ def fit_sd_golden_problems():
         fit_supply_demand(price, consumption, surplus)
     finally:
         mp.undo()
-    return problems
+    (fun, x0, bounds), = problems
+    assert x0.tolist() == [0.9, 1.0, 0.3]
+    return [(fun, np.array(start), bounds) for start in FIT_SD_GRID]
 
 
 def rosenbrock(v):
@@ -48,9 +52,8 @@ def optimum_past_bound(v):
 
 
 def cases():
-    # the start that wins the golden fit, (lambda, beta_d, beta_s) = (0.9, 1, 0.3)
-    fun, x0, bounds = fit_sd_golden_problems()[8]
-    assert x0.tolist() == [0.9, 1.0, 0.3]
+    # the golden fit's own start, (lambda, beta_d, beta_s) = (0.9, 1, 0.3)
+    fun, x0, bounds = fit_sd_golden_problems()[FIT_SD_GRID.index((0.9, 1.0, 0.3))]
     yield pytest.param(fun, x0, bounds, id="fit-sd-golden")
     box = (np.array([-2.0, -1.0]), np.array([0.5, 3.0]))
     yield pytest.param(rosenbrock, np.array([-1.5, 2.0]), box, id="rosenbrock-box")
