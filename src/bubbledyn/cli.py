@@ -8,14 +8,13 @@ error, 4 fit failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import combined, data_io, ethanol, speculators, supply_demand, timeseries
+from . import data_io, speculators, timeseries
 from .errors import BubbledynError, DataError, FitError
 from .timeseries import Frequency, Window
 
@@ -32,6 +31,9 @@ _EXIT_CODES = ((FitError, EXIT_FIT), (BubbledynError, EXIT_DATA),
 
 #: Environment variable naming the default directory for data files.
 DATA_DIR_ENV = "BUBBLEDYN_DATA_DIR"
+
+#: The commands that compute in numpy; the others never import it.
+NUMPY_COMMANDS = ("phase", "fit-sd", "fit-combined")
 
 
 def _resolve(path: str) -> Path:
@@ -181,8 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace):
-    """The result of the command ``args`` names, ready for ``data_io.emit``."""
+    """The result of the command ``args`` names, ready for ``data_io.emit``.
+
+    Each command imports the modules that only it uses."""
     if args.command == "simulate-sd":
+        from . import supply_demand
+
         surplus = _load(args.surplus, args.frequency, "surplus")
         params = supply_demand.SupplyDemandParams(
             args.lam, args.alpha_d, args.beta_d, args.alpha_s, args.beta_s)
@@ -200,18 +206,24 @@ def _run(args: argparse.Namespace):
         return speculators.phase_grid(args.ksd, args.ksp)
 
     if args.command == "fit-sd":
+        from . import supply_demand
+
         return supply_demand.fit_supply_demand(
             _load(args.price, args.frequency, "price"),
             _load(args.consumption, args.frequency, "consumption"),
             _load(args.surplus, args.frequency, "surplus"))
 
     if args.command == "fit-ethanol":
+        from . import ethanol
+
         return ethanol.trend_comparison(
             _load(args.ethanol, args.frequency, "ethanol"),
             _load(args.food, args.frequency, "food"),
             exclude_b=args.exclude)
 
     if args.command == "fit-combined":
+        from . import combined, ethanol
+
         food = _load(args.food, Frequency.MONTHLY, "food")
         markets = [_load(m, Frequency.MONTHLY) for m in args.market]
         trend = (None if args.exclude_window is None
@@ -238,12 +250,22 @@ def switch_candidates_for_year(food: timeseries.TimeSeries, year: int) -> list[i
     return candidates
 
 
+def _quiet_numpy(command: str):
+    """numpy's floating-point warnings switched off for the commands that
+    compute in numpy, where an overflow surfaces as the error it leads to;
+    the other commands compute on Python floats, which do not warn."""
+    if command not in NUMPY_COMMANDS:
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(all="ignore")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an overflow surfaces as the error it leads to, not as a warning
-        with np.errstate(all="ignore"):
+        with _quiet_numpy(args.command):
             data_io.emit(_run(args), args.format,
                          sys.stdout if args.output is None else args.output)
         sys.stdout.flush()

@@ -44,12 +44,12 @@ def _market_arrays(markets: Sequence[TimeSeries], start: tuple[int, int],
     """Each market's ``length`` values from ``start``, paired by :func:`align`."""
     if not markets:
         return []
-    *arrays, common = align(*markets)
+    *spans, common = align(*markets)
     offset = ordinal(start, frequency) - ordinal(common, frequency)
-    if markets[0].frequency is not frequency or not 0 <= offset <= len(arrays[0]) - length:
+    if markets[0].frequency is not frequency or not 0 <= offset <= len(spans[0]) - length:
         raise AlignmentError(f"markets do not cover the {length} {frequency.value} "
                              f"values from {format_date(start, frequency)}")
-    return [a[offset:offset + length] for a in arrays]
+    return [np.asarray(s[offset:offset + length]) for s in spans]
 
 
 def _model_terms(arrays: Sequence[np.ndarray], steps: int,

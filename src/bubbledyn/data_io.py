@@ -97,7 +97,8 @@ def load_series(path: Union[str, Path], frequency: Frequency, label: str = "",
 def derive_surplus(production: TimeSeries, consumption: TimeSeries) -> TimeSeries:
     """Production minus consumption, aligned by calendar year."""
     pv, cv, start = align(production, consumption)
-    return TimeSeries(start, production.frequency, tuple(pv - cv), "surplus")
+    return TimeSeries(start, production.frequency,
+                      [p - c for p, c in zip(pv, cv)], "surplus")
 
 
 #: Rows joined into one string per write of a CSV emit; joining the whole

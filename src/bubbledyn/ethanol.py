@@ -7,14 +7,14 @@ diversion series share one functional form: pure quadratic growth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, DomainError
 from .timeseries import (TimeSeries, Window, align, keep_mask,
-                         normalize_unit_interval, _pearson)
+                         normalize_unit_interval, _centred, _pearson)
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,26 @@ class QuadraticTrend:
 
 def quadratic_fit(s: TimeSeries, exclude: Sequence[Window] = ()) -> QuadraticTrend:
     """OLS on y = a + b*t**2 outside the ``exclude`` windows (e.g. price
-    bubbles), t in index units."""
-    y = s.to_array()
-    keep = keep_mask(len(y), exclude)
-    y, t = y[keep], np.arange(len(keep), dtype=float)[keep]
+    bubbles), t in index units: the one-regressor fit on u = t**2 about the
+    means, b = S_uy / S_uu and a = mean(y) - b mean(u), with every sum
+    correctly rounded.  DomainError where a sum overflows."""
+    keep = keep_mask(len(s), exclude)
+    y = list(compress(s.values, keep))
     if len(y) < 3:
         raise DegenerateInputError("need at least 3 usable points")
-    design = np.column_stack([np.ones_like(t), t * t])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    sst = float(np.sum((y - y.mean()) ** 2))
-    sse = float(np.sum((y - fitted) ** 2))
+    u = [float(t * t) for t in compress(range(len(keep)), keep)]
+    try:
+        (u_mean, du), (y_mean, dy) = _centred(u), _centred(y)
+        b = math.fsum(p * q for p, q in zip(du, dy)) / math.fsum(d * d for d in du)
+        a = y_mean - b * u_mean
+        sst = math.fsum(d * d for d in dy)
+        sse = math.fsum((q - b * p) ** 2 for p, q in zip(du, dy))
+    except (OverflowError, ValueError):
+        raise DomainError("the quadratic trend overflows") from None
+    if not all(map(math.isfinite, (a, b, sst, sse))):
+        raise DomainError("the quadratic trend overflows")
     r2 = 1.0 if sst == 0.0 else max(0.0, 1.0 - sse / sst)
-    return QuadraticTrend(a=float(coef[0]), b=float(coef[1]), r_squared=r2)
+    return QuadraticTrend(a=a, b=b, r_squared=r2)
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,6 @@ def trend_comparison(series_a: TimeSeries, series_b: TimeSeries,
     av, bv, keep, _ = align(norm_a, norm_b, kept_b)
     if len(av) < 4:
         raise DegenerateInputError("overlapping span must have >= 4 points")
-    keep = keep.astype(bool)
-    rho = _pearson(av[keep], bv[keep])
+    rho = _pearson(list(compress(av, keep)), list(compress(bv, keep)))
     return TrendComparison(trend_a=trend_a, trend_b=trend_b,
                            coefficient_gap=trend_a.b - trend_b.b, rho=rho)

@@ -317,7 +317,7 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
 
 def r_squared(observed: TimeSeries, modeled: TimeSeries) -> float:
     """Coefficient of determination, 1 - SSE/SST about the observed mean."""
-    obs, mod, _ = align(observed, modeled)
+    obs, mod = map(np.asarray, align(observed, modeled)[:2])
     if len(obs) < 2:
         raise DegenerateInputError("need at least 2 observations")
     sst = float(np.sum((obs - obs.mean()) ** 2))

@@ -15,8 +15,6 @@ from enum import Enum
 from itertools import repeat
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import DegenerateInputError
 from .timeseries import Frequency, TimeSeries
 
@@ -188,13 +186,17 @@ _RULE_LABELS = (Regime.REPEATED_ROOT_CONVERGENT, Regime.REPEATED_ROOT_DIVERGENT,
                 Regime.REAL_CONVERGENT, Regime.REAL_DIVERGENT)
 
 
-def _regimes(k_sd: np.ndarray, k_sp: np.ndarray):
-    """The regime rule at every point of two equal-shape float arrays.
+def _regimes(k_sd, k_sp):
+    """The regime rule at every point of two equal-shape float arrays or
+    lists; imports numpy.
 
     Returns the discriminant, the label code (an index into _RULE_LABELS),
     the convergence flag and the period, an object array that is None off
-    the oscillating band.
+    the oscillating band, as numpy arrays.
     """
+    import numpy as np
+
+    k_sd, k_sp = np.asarray(k_sd, dtype=float), np.asarray(k_sp, dtype=float)
     b, c = _char_coeffs(k_sd, k_sp)
     delta = b * b - 4.0 * c
     if not np.all(np.isfinite(delta)):
@@ -227,7 +229,7 @@ def classify(k_sd: float, k_sp: float) -> RegimeClassification:
     """Discriminant, characteristic roots, and regime label at one point."""
     check_domain(k_sd, k_sp)
     delta, code, convergent, period = (
-        v[0] for v in _regimes(np.array([k_sd], float), np.array([k_sp], float)))
+        v[0] for v in _regimes([k_sd], [k_sp]))
     return RegimeClassification(
         k_sd=k_sd, k_sp=k_sp, discriminant=float(delta),
         roots=_roots(k_sd, k_sp), label=_RULE_LABELS[code],
@@ -266,7 +268,10 @@ class PhaseGrid:
 
 def phase_grid(k_sd_range: tuple[float, float, int],
                k_sp_range: tuple[float, float, int]) -> PhaseGrid:
-    """Classify every node of a rectangular (k_sd, k_sp) grid."""
+    """Classify every node of a rectangular (k_sd, k_sp) grid; imports
+    numpy."""
+    import numpy as np
+
     for lo, hi, n in (k_sd_range, k_sp_range):
         if n < 2:
             raise ValueError("each axis needs at least 2 points")

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from . import fitting
 from .errors import DegenerateInputError, DomainError
 from .timeseries import TimeSeries, align, box_cox, inverse_box_cox
+
+if TYPE_CHECKING:
+    from . import fitting
 
 
 @dataclass(frozen=True)
@@ -78,27 +79,29 @@ def equilibrium(params: SupplyDemandParams) -> tuple[float, float]:
     return _equilibrium(params.alpha_d, params.alpha_s, params.beta_d, params.beta_s)
 
 
-def _path(surplus: np.ndarray, params: SupplyDemandParams
-          ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
+def _path(surplus: Sequence[float], params: SupplyDemandParams
+          ) -> tuple[list[float], list[float], list[tuple[float, float]]]:
     """Prices and quantities in original units, and the intercept trace.
 
     Raises DomainError where the inverse transform is infeasible."""
     trace = [(params.alpha_d, params.alpha_s)]
     for s in surplus[:-1]:
         trace.append(shock_update(*trace[-1], s))
-    p_tr, q_tr = _equilibrium(*np.array(trace).T, params.beta_d, params.beta_s)
-    prices = np.array([inverse_box_cox(p, params.lam) for p in p_tr])
-    quantities = np.array([inverse_box_cox(q, params.lam) for q in q_tr])
+    prices, quantities = [], []
+    for alpha_d, alpha_s in trace:
+        p, q = _equilibrium(alpha_d, alpha_s, params.beta_d, params.beta_s)
+        prices.append(inverse_box_cox(p, params.lam))
+        quantities.append(inverse_box_cox(q, params.lam))
     return prices, quantities, trace
 
 
 def simulate_equilibrium_path(surplus: TimeSeries, params0: SupplyDemandParams) -> EquilibriumPath:
     """Iterate shock_update + equilibrium over the surplus series and map the
     transformed equilibria back to original units."""
-    prices, quantities, trace = _path(surplus.to_array(), params0)
+    prices, quantities, trace = _path(surplus.values, params0)
     return EquilibriumPath(
-        prices=TimeSeries(surplus.start, surplus.frequency, tuple(prices), "price"),
-        quantities=TimeSeries(surplus.start, surplus.frequency, tuple(quantities), "quantity"),
+        prices=TimeSeries(surplus.start, surplus.frequency, prices, "price"),
+        quantities=TimeSeries(surplus.start, surplus.frequency, quantities, "quantity"),
         intercept_trace=tuple(trace))
 
 
@@ -147,7 +150,12 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
     match it exactly.  The objective is the variance-normalized SSE of price
     plus consumption, both in original units.
     """
-    pv, qv, sv, start = align(price, consumption, surplus)
+    import numpy as np
+
+    from . import fitting
+
+    *spans, start = align(price, consumption, surplus)
+    pv, qv, sv = map(np.asarray, spans)
     if len(pv) < 5:
         raise DegenerateInputError("need at least 5 aligned observations")
     if np.any(pv <= 0) or np.any(qv <= 0):

@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import compress
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import AlignmentError, DegenerateInputError, DomainError
 
@@ -39,14 +38,14 @@ class Window:
             raise ValueError("end_index must exceed begin_index")
 
 
-def keep_mask(n: int, windows: Sequence[Window]) -> np.ndarray:
-    """Boolean mask of the indices 0..n-1 outside every window; a window
+def keep_mask(n: int, windows: Sequence[Window]) -> list[bool]:
+    """Whether each index 0..n-1 lies outside every window; a window
     reaching past index n - 1 raises ValueError."""
-    keep = np.ones(n, dtype=bool)
+    keep = [True] * n
     for w in windows:
         if w.end_index > n:
             raise ValueError("exclusion window exceeds series length")
-        keep[w.begin_index:w.end_index] = False
+        keep[w.begin_index:w.end_index] = [False] * (w.end_index - w.begin_index)
     return keep
 
 
@@ -94,7 +93,10 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_array(self) -> np.ndarray:
+    def to_array(self):
+        """The values as a numpy array; imports numpy."""
+        import numpy as np
+
         return np.asarray(self.values, dtype=float)
 
     @property
@@ -108,13 +110,6 @@ class TimeSeries:
             year, month = divmod(position, 12)
             return year, month + 1
         return position, self.start[1]
-
-    def index_of(self, date: tuple[int, int]) -> int:
-        """Index of the observation at ``date``; raises if out of range."""
-        idx = ordinal(date, self.frequency) - self.start_ordinal
-        if not 0 <= idx < len(self):
-            raise IndexError(f"date {date} outside series span")
-        return int(idx)
 
     def indices_between(self, begin: tuple[int, int],
                         end: Optional[tuple[int, int]] = None) -> range:
@@ -139,8 +134,8 @@ class TimeSeries:
 def align(*series: TimeSeries) -> tuple:
     """Calendar-date alignment of any number of series.
 
-    Returns one overlapping value array per series, then the common start
-    date.  Frequency mismatch is an error, never silently resampled.
+    Returns one tuple of the overlapping values per series, then the common
+    start date.  Frequency mismatch is an error, never silently resampled.
     """
     if len({s.frequency for s in series}) > 1:
         raise AlignmentError("frequency mismatch: "
@@ -149,8 +144,8 @@ def align(*series: TimeSeries) -> tuple:
     hi = min(s.start_ordinal + len(s) for s in series)
     if hi <= lo:
         raise AlignmentError("series have no overlapping span")
-    arrays = [s.to_array()[lo - s.start_ordinal: hi - s.start_ordinal] for s in series]
-    return (*arrays, series[0].date_at(lo - series[0].start_ordinal))
+    spans = [s.values[lo - s.start_ordinal: hi - s.start_ordinal] for s in series]
+    return (*spans, series[0].date_at(lo - series[0].start_ordinal))
 
 
 def box_cox(x: float, lam: float) -> float:
@@ -191,14 +186,29 @@ def inverse_box_cox(y: float, lam: float) -> float:
     return x
 
 
-def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
+def _centred(values: Sequence[float]) -> tuple[float, list[float]]:
+    """The correctly rounded mean of ``values``, and each value minus it."""
+    mean = math.fsum(values) / len(values)
+    return mean, [v - mean for v in values]
+
+
+def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    # fsum raises OverflowError where a partial sum overflows and ValueError
+    # where it meets inf - inf
+    try:
+        (_, dx), (_, dy) = _centred(xs), _centred(ys)
+        sx = math.sqrt(math.fsum(d * d for d in dx))
+        sy = math.sqrt(math.fsum(d * d for d in dy))
+        sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    except (OverflowError, ValueError):
+        raise DomainError("the correlation overflows") from None
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise DomainError("the correlation overflows")
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("constant series has undefined correlation")
-    rho = float(dx @ dy) / (sx * sy)
+    # divided twice: sx * sy is subnormal, and inexact, where both spreads
+    # are below about 1e-154
+    rho = sxy / sx / sy
     if not math.isfinite(rho):
         raise DomainError("the correlation overflows")
     return rho
@@ -218,16 +228,17 @@ def normalize_unit_interval(s: TimeSeries, exclude: Optional[Window] = None) -> 
     Excluded points are transformed by the same map and may land outside
     [0, 1].  DomainError where the range or a mapped value overflows.
     """
-    values = s.to_array()
-    kept = values[keep_mask(len(values), () if exclude is None else (exclude,))]
-    if kept.size == 0:
+    values = s.values
+    kept = list(compress(values, keep_mask(len(values),
+                                           () if exclude is None else (exclude,))))
+    if not kept:
         raise DegenerateInputError("exclusion window covers the whole series")
-    lo, hi = kept.min(), kept.max()
+    lo, hi = min(kept), max(kept)
     if hi == lo:
         raise DegenerateInputError("all non-excluded values are equal")
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = (values - lo) / (hi - lo)
-    if not np.all(np.isfinite(scaled)):
+    span = hi - lo
+    scaled = [(v - lo) / span for v in values]
+    if not all(map(math.isfinite, scaled)):
         raise DomainError("the range of the series overflows")
     return s.with_values(scaled)
 
@@ -242,11 +253,6 @@ class LagScan:
 
     entries: tuple[tuple[int, float], ...]
     omitted: tuple[int, ...] = field(default=())
-
-    def peak_lag(self) -> int:
-        if not self.entries:
-            raise DegenerateInputError("empty lag scan")
-        return max(self.entries, key=lambda e: e[1])[0]
 
     def to_dict(self) -> dict:
         return {"entries": [{"lag": lag, "rho": rho} for lag, rho in self.entries],

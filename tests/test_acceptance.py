@@ -23,6 +23,7 @@ from bubbledyn import (Frequency, QuadraticTrend, Regime, TimeSeries,
                        simulate_second_order, trend_comparison)
 from bubbledyn import SpeculatorParams, emit
 from bubbledyn.cli import switch_candidates_for_year
+from bubbledyn.timeseries import ordinal
 
 import regime_sampling
 from conftest import ACCEPTANCE_LINES, fixture_path, require_fixtures
@@ -55,7 +56,8 @@ def criterion(num, title):
 
 def clip(s: TimeSeries, begin, end) -> TimeSeries:
     """Inclusive calendar slice [begin, end]."""
-    i, j = s.index_of(begin), s.index_of(end) + 1
+    i = ordinal(begin, s.frequency) - s.start_ordinal
+    j = ordinal(end, s.frequency) - s.start_ordinal + 1
     return TimeSeries(begin, s.frequency, s.values[i:j], s.label)
 
 
@@ -206,7 +208,7 @@ def test_07_wheat_fit_on_fixtures():
         chunks = []
         for res, obs in ((fit.residual_price, price),
                          (fit.residual_consumption, cons)):
-            cut = res.index_of((year_cut, 1))
+            cut = ordinal((year_cut, 1), res.frequency) - res.start_ordinal
             r = res.to_array() / np.std(obs.to_array())
             chunks.append(r[cut:] if after else r[:cut])
         stacked = np.concatenate(chunks)
@@ -265,6 +267,6 @@ def test_09_inventory_lag_on_fixtures():
     deviation = food.with_values(
         food.to_array() - (trend.a + trend.b * t * t), "price deviation")
     scan = lagged_cross_correlation(deviation, inventory, 24)
-    peak = scan.peak_lag()
+    peak = max(scan.entries, key=lambda entry: entry[1])[0]
     assert 9 <= peak <= 15, f"peak lag {peak} months"
     return f"peak lag {peak} months"

@@ -15,6 +15,7 @@ from bubbledyn import (DataError, Window, pearson_correlation, phase_grid,
                        quadratic_fit)
 from bubbledyn.cli import (EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, build_parser,
                            main, switch_candidates_for_year)
+from bubbledyn.timeseries import ordinal
 
 from conftest import annual, monthly
 from test_acceptance import default_bubble_windows
@@ -132,6 +133,10 @@ class TestSimulateSd:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _reject_non_finite(name):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def write_annual_csv(path, values, start=1990):
     path.write_text("date,value\n" + "".join(
         f"{start + i},{float(v)!r}\n" for i, v in enumerate(values)))
@@ -172,7 +177,7 @@ class TestFitCommands:
                              str(tmp_path / "f.csv"), "--exclude", "8:9")
         assert code == EXIT_OK, err
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "cd0a29cb14bf7090aa4d8b157ef45b4407cc58e93ff9091f5426f0c11597e088"
+            "2eebdfbaeae9fb047adb5462d5aa469418ec16b383cbd2b35146c9e1824317df"
 
 
 class TestFitCombinedCommand:
@@ -315,7 +320,7 @@ class TestCorrelateAndLagscan:
                            "--b", str(tmp_path / "b.csv"), "--max-lag", "4")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "20ea0954e2140b14ab23322abff412bd148769e2977641bc6c1b90d39e25aa4d"
+            "c059c02f173aeaace13c1850f91c18760668de235bd37ddf4384f1e318ed017c"
 
     def test_lagscan_json_output_bytes(self, capsys, tmp_path):
         write_series_csv(tmp_path / "a.csv", [1.0, 2.5, 0.25, 4.0, 3.5, -1.0,
@@ -328,7 +333,7 @@ class TestCorrelateAndLagscan:
         assert code == EXIT_OK
         assert json.loads(out)["omitted"] == [11]
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "d9f85599e13b9c1a87650530db9b4571450f8b22d563a207e2d6ad4174fc924b"
+            "f5df41f324050e6f51e3987416ec5d90a536ca689a03d7e2db14d4a4572643fd"
 
 
 class TestErrorContract:
@@ -417,6 +422,41 @@ class TestErrorContract:
             assert got == EXIT_DATA
             assert out == "" and err.endswith("\n") and err.count("\n") == 1
             assert json.loads(err)["type"] == "DomainError"
+
+    @pytest.mark.parametrize("a, b", [
+        ([1e300 * (-1) ** t for t in range(12)],
+         [1e300 * (-1) ** (t // 2) for t in range(12)]),
+        ([1.7e308 * (-1) ** t for t in range(12)],
+         [1e300 * (1 + t % 3) for t in range(12)]),
+        ([1e-170 * (1 + t % 5) for t in range(12)],
+         [1e-170 * (3 - t % 4) for t in range(12)]),
+        ([1e-162 * (t % 2) for t in range(12)],
+         [1e-162 * (t % 3 == 0) for t in range(12)]),
+        ([1e-170 * (t % 3) for t in range(12)],
+         [1e300 * (t % 4) for t in range(12)]),
+    ], ids=["alternating-1e300", "1.7e308-vs-1e300", "spread-1e-170",
+            "spread-1e-162", "1e-170-vs-1e300"])
+    @pytest.mark.parametrize("command", [
+        "correlate --a a.csv --b b.csv",
+        "lagscan --a a.csv --b b.csv --max-lag 3 --frequency annual --format json",
+        "fit-ethanol --ethanol a.csv --food b.csv --exclude 2:4",
+    ], ids=["correlate", "lagscan", "fit-ethanol"])
+    def test_extreme_magnitudes_keep_the_contract(self, capsys, tmp_path,
+                                                  monkeypatch, a, b, command):
+        """Sums of Python floats that overflow, and spreads whose squares
+        underflow, end in exit 3 with one JSON line, or in finite numbers."""
+        monkeypatch.chdir(tmp_path)
+        write_annual_csv(tmp_path / "a.csv", a)
+        write_annual_csv(tmp_path / "b.csv", b)
+        got, out, err = run(capsys, *command.split())
+        if got == EXIT_OK:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_non_finite)
+        else:
+            assert got == EXIT_DATA
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1
+            assert json.loads(err)["type"] in ("DomainError",
+                                               "DegenerateInputError")
 
     def test_constant_food_is_degenerate(self, capsys, tmp_path):
         # r2 is undefined; fit-combined and fit-sd reject the file alike
@@ -574,11 +614,8 @@ class TestCalendarHelpers:
         food = monthly(range(n), start=(year, month))
         expected = []
         for date in month_walk((switch_year, 1), (switch_year + 1, 1)):
-            try:
-                index = food.index_of(date)
-            except IndexError:
-                continue
-            if index >= 1:
+            index = ordinal(date, food.frequency) - food.start_ordinal
+            if 1 <= index < n:
                 expected.append(index)
         if expected:
             assert switch_candidates_for_year(food, switch_year) == expected
@@ -591,7 +628,8 @@ class TestCalendarHelpers:
         food = monthly(range(n), start=(year, month))
         expected = []
         for begin, end in (((2007, 1), (2009, 1)), ((2010, 6), food.date_at(n))):
-            inside = [food.index_of(d) for d in month_walk(begin, end)
+            inside = [ordinal(d, food.frequency) - food.start_ordinal
+                      for d in month_walk(begin, end)
                       if food.start <= d < food.date_at(n)]
             if inside:
                 expected.append((inside[0], inside[-1] + 1))

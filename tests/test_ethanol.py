@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from bubbledyn import (DegenerateInputError, Window, quadratic_fit,
-                       trend_comparison)
+from bubbledyn import (DegenerateInputError, DomainError, Window,
+                       quadratic_fit, trend_comparison)
 
 from conftest import annual
 
@@ -37,6 +38,39 @@ class TestQuadraticFit:
     def test_too_few_points(self):
         with pytest.raises(DegenerateInputError):
             quadratic_fit(annual([1.0, 2.0, 3.0, 4.0]), exclude=[Window(0, 2)])
+
+    @given(st.integers(3, 400), st.integers(0, 2**32 - 1), st.data())
+    def test_agrees_with_lstsq(self, n, seed, data):
+        """The centred one-regressor fit agrees with numpy's least squares on
+        the design [1, t**2] to 1e-10 relative."""
+        rng = np.random.default_rng(seed)
+        t = np.arange(n, dtype=float)
+        a0 = rng.uniform(1.0, 10.0) * rng.choice([-1.0, 1.0])
+        b0 = rng.uniform(1.0, 10.0) * rng.choice([-1.0, 1.0]) / n ** 2
+        y = a0 + b0 * t * t + rng.uniform(0.0, 1.0) * rng.normal(size=n)
+        windows = []
+        keep = np.ones(n, dtype=bool)
+        begin = data.draw(st.integers(0, n - 1))
+        end = data.draw(st.integers(begin + 1, n))
+        if n - (end - begin) >= 3:
+            windows = [Window(begin, end)]
+            keep[begin:end] = False
+        design = np.column_stack([np.ones(keep.sum()), t[keep] ** 2])
+        coef, *_ = np.linalg.lstsq(design, y[keep], rcond=None)
+        sst = np.sum((y[keep] - y[keep].mean()) ** 2)
+        r2 = 1.0 - np.sum((y[keep] - design @ coef) ** 2) / sst
+        trend = quadratic_fit(annual(y), windows)
+        assert trend.a == pytest.approx(coef[0], rel=1e-10)
+        assert trend.b == pytest.approx(coef[1], rel=1e-10)
+        assert trend.r_squared == pytest.approx(max(0.0, r2), rel=1e-10)
+
+    @pytest.mark.parametrize("values", [
+        [1e300 * (1 + t * t) for t in range(6)],  # the squared deviations
+        [1e308, 1e308, -1e308, 0.0],  # a partial sum of the mean
+    ])
+    def test_overflow_is_domain_error(self, values):
+        with pytest.raises(DomainError, match="overflows"):
+            quadratic_fit(annual(values))
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(8)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubbledyn import (DegenerateInputError, FitError, SupplyDemandParams,
-                       box_cox, equilibrium, fit_supply_demand, fitting,
+from bubbledyn import (DegenerateInputError, DomainError, FitError,
+                       SupplyDemandParams, box_cox, equilibrium,
+                       fit_supply_demand, fitting, inverse_box_cox,
                        shock_update, simulate_equilibrium_path)
 from bubbledyn.supply_demand import _determined_params
 
@@ -80,6 +81,31 @@ class TestEquilibrium:
 
 
 class TestSimulate:
+    @given(st.floats(0.5, 1.2), st.floats(100.0, 400.0), st.floats(0.1, 5.0),
+           st.floats(0.0, 200.0), st.floats(0.0, 5.0),
+           st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+    def test_bit_identical_to_numpy_reference(self, lam, alpha_d, beta_d,
+                                              alpha_s, beta_s, surplus):
+        """The elementwise path against the array formulation it replaced."""
+        params = SupplyDemandParams(lam, alpha_d, beta_d, alpha_s, beta_s)
+        trace = [(alpha_d, alpha_s)]
+        for s in surplus[:-1]:
+            trace.append(shock_update(*trace[-1], s))
+        ad, as_ = np.array(trace).T
+        denom = beta_d + beta_s
+        try:
+            expected = [[inverse_box_cox(v, lam) for v in column] for column in
+                        ((ad - as_) / denom, (ad * beta_s + as_ * beta_d) / denom)]
+        except DomainError:
+            with pytest.raises(DomainError):
+                simulate_equilibrium_path(annual(surplus), params)
+            return
+        path = simulate_equilibrium_path(annual(surplus), params)
+        for got, want in zip((path.prices, path.quantities), expected):
+            assert np.array_equal(np.array(got.values).view(np.int64),
+                                  np.array(want).view(np.int64))
+        assert path.intercept_trace == tuple(trace)
+
     def test_zero_surplus_constant_path(self):
         params = SupplyDemandParams(1.0, 300.0, 1.0, 150.0, 1.0)
         path = simulate_equilibrium_path(annual([0.0] * 8), params)

@@ -26,13 +26,13 @@ class TestTimeSeries:
     def test_calendar_roundtrip_monthly(self):
         s = monthly(range(30), start=(2004, 11))
         for i in (0, 1, 13, 29):
-            assert s.index_of(s.date_at(i)) == i
+            assert ordinal(s.date_at(i), s.frequency) - s.start_ordinal == i
         assert s.date_at(2) == (2005, 1)
 
     def test_calendar_roundtrip_annual(self):
         s = annual(range(5), start=(1999, 1))
         assert s.date_at(3) == (2002, 1)
-        assert s.index_of((2000, 1)) == 1
+        assert ordinal((2000, 1), s.frequency) - s.start_ordinal == 1
 
     @given(st.sampled_from(list(Frequency)), st.integers(1, 9999),
            st.integers(1, 12), st.integers(1, 400), st.data())
@@ -42,13 +42,8 @@ class TestTimeSeries:
         s = TimeSeries(start, frequency, (0.0,) * n)
         i = data.draw(st.integers(0, n - 1))
         date = s.date_at(i)
-        assert s.index_of(date) == i
         assert ordinal(date, frequency) == s.start_ordinal + i
         assert 1 <= date[1] <= 12
-
-    def test_index_out_of_span(self):
-        with pytest.raises(IndexError):
-            monthly([1, 2, 3]).index_of((2010, 1))
 
 
 def month_walk(begin, end):
@@ -67,10 +62,9 @@ class TestIndicesBetween:
         s = monthly(range(n), start=(year, month))
         expected = []
         for date in month_walk(begin, s.date_at(n) if end is None else end):
-            try:
-                expected.append(s.index_of(date))
-            except IndexError:
-                pass
+            index = ordinal(date, s.frequency) - s.start_ordinal
+            if 0 <= index < n:
+                expected.append(index)
         assert list(s.indices_between(begin, end)) == expected
 
     def test_annual_series_counts_each_year_once(self):
@@ -127,6 +121,18 @@ class TestBoxCox:
 
 
 class TestPearson:
+    @given(st.integers(2, 400), st.integers(0, 2**32 - 1), st.floats(-100, 100),
+           st.floats(-10, 10), st.floats(-1, 1))
+    def test_agrees_with_numpy_corrcoef(self, n, seed, log_scale, offset, mix):
+        """The correctly rounded sums agree with numpy's pairwise ones to
+        1e-13, over magnitudes from 1e-100 to 1e100."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        y = mix * x + (1.0 - abs(mix)) * rng.normal(size=n)
+        xs, ys = ((offset + v) * 10.0 ** log_scale for v in (x, y))
+        assert _pearson(tuple(xs.tolist()), tuple(ys.tolist())) == \
+            pytest.approx(np.corrcoef(xs, ys)[0, 1], abs=1e-13)
+
     def test_self_correlation(self):
         s = annual([1.0, 4.0, 2.0, 8.0])
         assert pearson_correlation(s, s) == pytest.approx(1.0)
@@ -176,16 +182,41 @@ class TestPearson:
         zs = annual([5.0, 6.0, 7.0, 8.0], start=(2001, 1))
         ax, ay, az, start = align(xs, ys, zs)
         assert start == (2001, 1)
-        assert ax.tolist() == [2.0, 3.0, 4.0]
-        assert ay.tolist() == [4.0, 6.0, 8.0]
-        assert az.tolist() == [5.0, 6.0, 7.0]
+        assert ax == (2.0, 3.0, 4.0)
+        assert ay == (4.0, 6.0, 8.0)
+        assert az == (5.0, 6.0, 7.0)
         ax, ay, start = align(xs, ys)
-        assert start == (2000, 1) and ay.tolist() == [2.0, 4.0, 6.0, 8.0]
+        assert start == (2000, 1) and ay == (2.0, 4.0, 6.0, 8.0)
         with pytest.raises(AlignmentError, match="frequency mismatch"):
             align(xs, ys, monthly([1.0]))
 
 
 class TestNormalize:
+    @given(st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=60),
+           st.data())
+    def test_bit_identical_to_numpy_reference(self, values, data):
+        n = len(values)
+        begin = data.draw(st.integers(0, n))
+        window = None if begin == n else Window(begin, data.draw(st.integers(begin + 1, n)))
+        v = np.array(values)
+        keep = np.ones(n, dtype=bool)
+        if window is not None:
+            keep[window.begin_index:window.end_index] = False
+        kept = v[keep]
+        if kept.size == 0 or kept.min() == kept.max():
+            with pytest.raises(DegenerateInputError):
+                normalize_unit_interval(annual(values), exclude=window)
+            return
+        with np.errstate(all="ignore"):
+            reference = (v - kept.min()) / (kept.max() - kept.min())
+        if not np.all(np.isfinite(reference)):
+            with pytest.raises(DomainError, match="overflows"):
+                normalize_unit_interval(annual(values), exclude=window)
+            return
+        out = normalize_unit_interval(annual(values), exclude=window)
+        assert np.array_equal(np.array(out.values).view(np.int64),
+                              reference.view(np.int64))
+
     def test_simple_affine(self):
         out = normalize_unit_interval(annual([2.0, 4.0, 6.0]))
         assert out.values == pytest.approx((0.0, 0.5, 1.0))
@@ -222,7 +253,7 @@ class TestLaggedCrossCorrelation:
         scan = lagged_cross_correlation(xs, ys, 5)
         rhos = dict(scan.entries)
         assert rhos[2] == pytest.approx(1.0, abs=1e-12)
-        assert scan.peak_lag() == 2
+        assert max(rhos, key=rhos.get) == 2
 
     def test_lag_zero_matches_pearson(self):
         rng = np.random.default_rng(4)
