@@ -53,26 +53,67 @@ def _market_arrays(markets: Sequence[TimeSeries], start: tuple[int, int],
 
 
 def _model_terms(arrays: Sequence[np.ndarray], steps: int,
-                 switch: int) -> tuple[np.ndarray, ...]:
+                 switch: int) -> tuple:
     """The parameter-free terms of the updates t = 1..steps-1: t**2 and 2t+1
     of k_c(t), the gate, 1.0 where speculators and markets act (t >= switch),
-    and the gated market differences gate * (P_i(t) - P_i(t-1)), one row per
-    market."""
+    the gated market differences gate * (P_i(t) - P_i(t-1)), one row per
+    market, and the number of updates before the switch."""
     t = np.arange(1, steps, dtype=float)
     gate = (t >= switch).astype(float)
     diffs = np.array([m[1:steps] - m[:steps - 1] for m in arrays])
     return (t * t, 2.0 * t + 1.0, gate,
-            diffs.reshape(len(arrays), steps - 1) * gate)
+            diffs.reshape(len(arrays), steps - 1) * gate,
+            min(switch, steps) - 1)
 
 
-def _path(v: np.ndarray, terms: tuple[np.ndarray, ...], p0: float,
-          p1: float) -> list[float]:
+def _segments(const: list[float], k_sd: float, k_sp: float, split: int,
+              p0: float, p1: float) -> list[float]:
+    """The model's recurrence forced by ``const`` from P(0) = p0 and
+    P(1) = p1: its first ``split`` updates without speculators, with
+    coefficients (1 - k_sd, 0), and the rest with them, with
+    (1 - k_sd + k_sp, -k_sp); one :func:`iterate` call per segment."""
+    head = iterate(const[:split], 1.0 - k_sd, 0.0, p0, p1)
+    prev, cur = (p0, p1, *head[-2:])[-2:]
+    return head + iterate(const[split:], (1.0 - k_sd) + k_sp, -k_sp, prev, cur)
+
+
+def _path(v: np.ndarray, terms: tuple, p0: float, p1: float) -> list[float]:
     """Prices P(2)..P(steps) for v = (k_sd, k_sp, k_1..k_N, a, b)."""
-    t2, lag, gate, gated_diffs = terms
+    t2, lag, _, gated_diffs, split = terms
     k_sd, k_sp, a, b = float(v[0]), float(v[1]), float(v[-2]), float(v[-1])
     const = (a + b * t2) * k_sd + b * lag + v[2:-2] @ gated_diffs
-    return iterate(const.tolist(), ((1.0 - k_sd) + gate * k_sp).tolist(),
-                   (-gate * k_sp).tolist(), p0, p1)
+    return _segments(const.tolist(), k_sd, k_sp, split, p0, p1)
+
+
+def _sensitivities(v: np.ndarray, terms: tuple, prices: np.ndarray,
+                   joint: bool) -> np.ndarray:
+    """The exact derivatives of P(2)..P(steps) by (k_sd, k_sp, k_1..k_N)
+    and, when ``joint``, by the trend's a and b, one column each, given the
+    prices P(0)..P(steps) at v.
+
+    Differentiating the recurrence gives each column the model's own
+    two-segment recurrence from zero initial prices, forced at update t by
+    the derivative of the update's other terms: (a + b t**2) - P(t) for
+    k_sd, gate (P(t) - P(t-1)) for k_sp, the gated market differences for
+    the couplings, k_sd for a and k_sd t**2 + 2t + 1 for b.  The columns of
+    k_sp and the couplings are 0 before the switch, so only their second
+    segment is stepped.
+    """
+    t2, lag, _, gated_diffs, split = terms
+    k_sd, k_sp, a, b = float(v[0]), float(v[1]), float(v[-2]), float(v[-1])
+    from_start = [(a + b * t2 - prices[1:-1]).tolist()]
+    if joint:
+        from_start += [[k_sd] * len(t2), (k_sd * t2 + lag).tolist()]
+    from_switch = [np.diff(prices[split:-1]).tolist(),
+                   *gated_diffs[:, split:].tolist()]
+    # rows k_sd, k_sp, k_1..k_N, then a and b
+    rows = np.zeros((len(from_start) + len(from_switch), len(t2)))
+    late = slice(1, 1 + len(from_switch))
+    rows[[0, *range(late.stop, len(rows))]] = [
+        _segments(f, k_sd, k_sp, split, 0.0, 0.0) for f in from_start]
+    rows[late, split:] = [_segments(f, k_sd, k_sp, 0, 0.0, 0.0)
+                          for f in from_switch]
+    return rows.T
 
 
 def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
@@ -134,7 +175,7 @@ class CombinedFit:
         }
 
 
-def _linear_seed(food: np.ndarray, terms: tuple[np.ndarray, ...],
+def _linear_seed(food: np.ndarray, terms: tuple,
                  trend: Optional[QuadraticTrend]) -> Optional[np.ndarray]:
     """One-step-ahead regression estimate of (k_sd, k_sp, k_1..k_N, a, b),
     or of (k_sd, k_sp, k_1..k_N) when the trend is given.
@@ -145,7 +186,7 @@ def _linear_seed(food: np.ndarray, terms: tuple[np.ndarray, ...],
     differences recovers them exactly for noiseless data and gives a strong
     start otherwise.
     """
-    t2, lag, gate, gated_diffs = terms
+    t2, lag, gate, gated_diffs, _ = terms
     prev, cur = food[:-2], food[1:-1]
     target = food[2:] - cur
     if trend is None:
@@ -193,10 +234,11 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
 
     Initial conditions come from the first two food observations.  Each
     candidate is one bounded polish from the one-step regression of
-    :func:`_linear_seed`.  A given ``trend`` is held fixed: the paper's
-    two-stage fit, with the trend fitted upstream outside the bubble
-    windows.  The report is the winning candidate's, except that
-    ``evaluations`` sums the residual calls of every candidate.
+    :func:`_linear_seed`, with the exact Jacobian of :func:`_sensitivities`.
+    A given ``trend`` is held fixed: the paper's two-stage fit, with the
+    trend fitted upstream outside the bubble windows.  The report is the
+    winning candidate's, except that ``evaluations`` sums the residual calls
+    of every candidate.
     """
     if not switch_candidates:
         raise ValueError("switch_candidates must be non-empty")
@@ -234,10 +276,22 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
         start = (fallback if seed is None else
                  np.where((lo <= seed) & (seed <= hi), seed, fallback))
 
-        def residuals(v: np.ndarray, terms=terms) -> np.ndarray:
-            return fv[2:] - np.array(_path(np.append(v, fixed), terms, p0, p1))
+        # the point of the last residual call and its prices P(0)..P(steps),
+        # where the solver asks for the Jacobian next
+        last = {"v": None}
 
-        report = fitting.minimize(residuals, start, bounds)
+        def residuals(v: np.ndarray, terms=terms, last=last) -> np.ndarray:
+            path = _path(np.append(v, fixed), terms, p0, p1)
+            last.update(v=v.copy(), prices=np.array([p0, p1, *path]))
+            return fv[2:] - last["prices"][2:]
+
+        def jacobian(v: np.ndarray, terms=terms, last=last) -> np.ndarray:
+            if not np.array_equal(v, last["v"]):
+                residuals(v)
+            return -_sensitivities(np.append(v, fixed), terms, last["prices"],
+                                   trend is None)
+
+        report = fitting.minimize(residuals, start, bounds, jacobian)
         evaluations += report.evaluations
         if best is None or report.objective_value < best[1].objective_value:
             best = (switch, report)

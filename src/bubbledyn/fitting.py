@@ -8,7 +8,8 @@ residuals, on which the solver shrinks its step.
 
 :func:`least_squares` is a numpy port of the path of
 ``scipy.optimize.least_squares(method="trf")`` that these fits take: finite
-bounds, a dense forward-difference Jacobian, the exact trust-region
+bounds, a dense Jacobian that is either the caller's exact one (scipy's
+``jac=callable``) or forward differences, the exact trust-region
 subproblem through one SVD (Moré 1978), linear loss, unit variable scaling,
 tolerances of 1e-8 and 100 evaluations per variable.  It follows scipy's
 ``optimize/_lsq/trf.py``, ``optimize/_lsq/common.py`` and
@@ -20,7 +21,7 @@ SciPy Developers, under the BSD 3-Clause licence in ``LICENSE-scipy.txt``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import norm
@@ -191,12 +192,15 @@ def _select_step(x, J_h, diag_h, g_h, p_h, d, Delta, lo, hi, theta):
     return -d * g_h * ag_stride, -g_h * ag_stride, -ag_value
 
 
-def least_squares(fun, x0, bounds) -> LeastSquaresResult:
+def least_squares(fun, x0, bounds, jac=None) -> LeastSquaresResult:
     """Minimise ``|fun(x)|^2 / 2`` over the box ``bounds = (lo, hi)`` from
     ``x0`` by the trust-region-reflective method.
 
     ``fun`` returns a 1-D float array, and ``x0`` lies in the box, whose
-    bounds are finite with lo < hi (:func:`minimize` checks both).  Stops as
+    bounds are finite with lo < hi (:func:`minimize` checks both).  ``jac``,
+    if given, returns the Jacobian of ``fun`` at x as an (m, n) float array;
+    it replaces the forward differences at the start and at each accepted
+    point, as scipy's ``jac=callable`` does.  Stops as
     scipy does: on a scaled gradient below :data:`TOL`, on a relative cost
     change or step below it, or, unsuccessfully, after 100 evaluations per
     variable outside the Jacobians.  Raises :class:`NonFiniteJacobian` where
@@ -205,7 +209,7 @@ def least_squares(fun, x0, bounds) -> LeastSquaresResult:
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     x = _strictly_feasible(np.asarray(x0, dtype=float), lo, hi, 1e-10)
     f = fun(x)
-    J = _jacobian(fun, x, f, lo, hi)
+    J = _jacobian(fun, x, f, lo, hi) if jac is None else jac(x)
     m, n = J.shape
     cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
     Delta = norm(x / _coleman_li(x, g, lo, hi)[0] ** 0.5) or 1.0
@@ -255,7 +259,7 @@ def least_squares(fun, x0, bounds) -> LeastSquaresResult:
             Delta = Delta_new
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = _jacobian(fun, x, f, lo, hi)
+            J = _jacobian(fun, x, f, lo, hi) if jac is None else jac(x)
             g = J.T.dot(f)
     return LeastSquaresResult(x=x, fun=f, success=converged)
 
@@ -272,12 +276,19 @@ class FitReport:
 
 def minimize(residuals: Callable[[np.ndarray], np.ndarray],
              start: Sequence[float],
-             bounds: Sequence[tuple[float, float]]) -> FitReport:
+             bounds: Sequence[tuple[float, float]],
+             jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+             ) -> FitReport:
     """Bounded least squares from ``start``; returns the terminal point.
 
-    ``objective_value`` is the sum of squared residuals there, ``converged``
-    the solve's success flag, and ``evaluations`` every call of
-    ``residuals``, finite-difference Jacobians and the start check included.
+    ``jacobian``, if given, returns the exact Jacobian of ``residuals`` as a
+    float array, one row per residual and one column per parameter; without
+    it the solve takes forward differences of ``residuals``.
+    ``objective_value`` is the sum of squared residuals at the terminal
+    point, ``converged`` the solve's success flag, and ``evaluations`` the
+    residual calls: every call of ``residuals``, finite-difference
+    Jacobians and the start check included.  Calls of ``jacobian`` are not
+    residual calls and are not counted.
     Deterministic given identical inputs.  Raises :class:`FitError` that
     names the cause when the start's residuals are not finite, the solve
     meets a non-finite Jacobian, or it ends at a sum of squares that
@@ -302,9 +313,10 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
     if not np.all(np.isfinite(counted(start))):
         raise FitError("the residuals at the start are not finite")
     try:
-        res = least_squares(counted, start, bounds=(lo, hi))
+        res = least_squares(counted, start, bounds=(lo, hi), jac=jacobian)
     except NonFiniteJacobian:
-        # a finite-difference step into a non-finite region ends the solve
+        # an exact Jacobian that is not finite, or a finite-difference step
+        # into a non-finite region, ends the solve
         raise FitError("the solve met a non-finite Jacobian") from None
     sse = float(res.fun @ res.fun)
     if not np.isfinite(sse):

@@ -96,21 +96,22 @@ def _roots(k_sd: float, k_sp: float) -> tuple[complex, complex]:
     return complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)
 
 
-def iterate(const: Iterable[float], a: Iterable[float], b: Iterable[float],
-            p0: float, p1: float) -> list[float]:
-    """Step P(t+1) = const[i] + a[i] P(t) + b[i] P(t-1) once per coefficient,
-    from P(t-1) = p0 and P(t) = p1; returns the prices after p1, one per
-    element of ``const``, which is a sequence or a counted ``repeat``.
+def iterate(const: Iterable[float], a: float, b: float, p0: float,
+            p1: float) -> list[float]:
+    """Step P(t+1) = const[i] + a P(t) + b P(t-1) once per element of
+    ``const``, a sequence or a counted ``repeat``, from P(t-1) = p0 and
+    P(t) = p1; returns the prices after p1.
 
-    Every price path of the package (first order, second order and the
-    combined model) runs through this loop over plain Python floats.
+    Every price path of the package (first order, second order, and each
+    constant-coefficient segment of the combined model and of its
+    sensitivities) runs through this loop over plain Python floats.
     """
     # allocated up front, so that a length no memory can hold fails here
     # with MemoryError instead of after filling the memory
     path = [p1] * operator.length_hint(const)
     prev, cur = p0, p1
-    for i, (c, a_i, b_i) in enumerate(zip(const, a, b)):
-        prev, cur = cur, c + a_i * cur + b_i * prev
+    for i, c in enumerate(const):
+        prev, cur = cur, c + a * cur + b * prev
         path[i] = cur
     return path
 
@@ -120,8 +121,7 @@ def simulate_first_order(params: SpeculatorParams, p0: float, steps: int) -> Tim
     if steps < 1:
         raise ValueError("steps must be >= 1")
     p0 = float(p0)
-    path = iterate(repeat(params.k_c, steps), repeat(1.0 - params.k_sd),
-                   repeat(0.0), 0.0, p0)
+    path = iterate(repeat(params.k_c, steps), 1.0 - params.k_sd, 0.0, 0.0, p0)
     path.insert(0, p0)
     return TimeSeries((2000, 1), Frequency.MONTHLY, path, "price")
 
@@ -141,8 +141,8 @@ def simulate_second_order(params: SpeculatorParams, p0: float, p1: float,
         raise ValueError("steps must be >= 2")
     p0, p1 = float(p0), float(p1)
     n = steps - 1
-    path = iterate(repeat(params.k_c, n), repeat(1.0 + params.k_sp - params.k_sd),
-                   repeat(-params.k_sp), p0, p1)
+    path = iterate(repeat(params.k_c, n), 1.0 + params.k_sp - params.k_sd,
+                   -params.k_sp, p0, p1)
     path[:0] = (p0, p1)
     return TimeSeries((2000, 1), Frequency.MONTHLY, path, "price")
 

@@ -192,26 +192,26 @@ def _centred(values: Sequence[float]) -> tuple[float, list[float]]:
     return mean, [v - mean for v in values]
 
 
+def _binary_unit(values: Sequence[float]) -> list[float]:
+    """``values`` times the power of two that brings the largest magnitude
+    into [0.5, 1); exact wherever the results stay normal."""
+    shift = -math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, shift) for v in values]
+
+
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    # fsum raises OverflowError where a partial sum overflows and ValueError
-    # where it meets inf - inf
-    try:
-        (_, dx), (_, dy) = _centred(xs), _centred(ys)
-        sx = math.sqrt(math.fsum(d * d for d in dx))
-        sy = math.sqrt(math.fsum(d * d for d in dy))
-        sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    except (OverflowError, ValueError):
-        raise DomainError("the correlation overflows") from None
-    if not (math.isfinite(sx) and math.isfinite(sy)):
-        raise DomainError("the correlation overflows")
+    """Sample correlation of two equal-length series of finite floats.
+
+    Each series is first brought to :func:`_binary_unit` scale, so the
+    result does not depend on either series' binary scale, and no sum of
+    squares can overflow or fall into the subnormals.
+    """
+    (_, dx), (_, dy) = _centred(_binary_unit(xs)), _centred(_binary_unit(ys))
+    sx = math.sqrt(math.fsum(d * d for d in dx))
+    sy = math.sqrt(math.fsum(d * d for d in dy))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("constant series has undefined correlation")
-    # divided twice: sx * sy is subnormal, and inexact, where both spreads
-    # are below about 1e-154
-    rho = sxy / sx / sy
-    if not math.isfinite(rho):
-        raise DomainError("the correlation overflows")
-    return rho
+    return math.fsum(a * b for a, b in zip(dx, dy)) / sx / sy
 
 
 def pearson_correlation(xs: TimeSeries, ys: TimeSeries) -> float:

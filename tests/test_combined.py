@@ -132,6 +132,102 @@ class TestBackgroundTrend:
         assert trend.r_squared == pytest.approx(1.0)
 
 
+#: Months of the model's property tests, and their switch months: the first
+#: update, the middle one and the last.
+N_MONTHS = 48
+SWITCHES = (1, N_MONTHS // 2, N_MONTHS - 2)
+
+
+def per_step_path(v, terms, p0, p1):
+    """The reference for :func:`combined._path`: every update takes its own
+    gated coefficients (1 - k_sd + gate k_sp, -gate k_sp)."""
+    t2, lag, gate, gated_diffs, _ = terms
+    k_sd, k_sp, a, b = v[0], v[1], v[-2], v[-1]
+    const = (a + b * t2) * k_sd + b * lag + v[2:-2] @ gated_diffs
+    prev, cur, path = p0, p1, []
+    for c, a_t, b_t in zip(const.tolist(), ((1.0 - k_sd) + gate * k_sp).tolist(),
+                           (-gate * k_sp).tolist()):
+        prev, cur = cur, c + a_t * cur + b_t * prev
+        path.append(cur)
+    return path
+
+
+@st.composite
+def model_points(draw):
+    """(v, terms, p0, p1) of a random model over 0-2 markets, switched on at
+    one of SWITCHES."""
+    n_markets = draw(st.integers(0, 2))
+    v = np.array([draw(st.floats(0.01, 1.4)), draw(st.floats(0.0, 2.5)),
+                  *(draw(st.floats(-100.0, 10.0)) for _ in range(n_markets)),
+                  draw(st.floats(50.0, 150.0)), draw(st.floats(-0.05, 0.05))])
+    arrays = [m.to_array() for m in make_markets(N_MONTHS)[:n_markets]]
+    terms = combined._model_terms(arrays, N_MONTHS - 1,
+                                  draw(st.sampled_from(SWITCHES)))
+    return v, terms, draw(st.floats(50.0, 150.0)), draw(st.floats(50.0, 150.0))
+
+
+class TestExactJacobian:
+    @settings(max_examples=60, deadline=None)
+    @given(model_points())
+    def test_two_segment_path_is_the_per_step_recurrence(self, point):
+        assert combined._path(*point) == per_step_path(*point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model_points(), st.booleans())
+    def test_matches_central_differences(self, point, joint):
+        v, terms, p0, p1 = point
+        prices = np.array([p0, p1, *combined._path(v, terms, p0, p1)])
+        got = combined._sensitivities(v, terms, prices, joint)
+        fitted = len(v) if joint else len(v) - 2
+        assert got.shape == (N_MONTHS - 2, fitted)
+        # the differences' rounding: up to one ulp of the path per update,
+        # each carried forward as the model carries a unit impulse from the
+        # start or from the switch
+        k_sd, k_sp, split, updates = v[0], v[1], terms[-1], N_MONTHS - 2
+        impulses = (combined._segments([0.0] * updates, k_sd, k_sp, split, 0.0, 1.0)
+                    + combined._segments([0.0] * (updates - split), k_sd, k_sp,
+                                         0, 0.0, 1.0))
+        noise = (updates * np.finfo(float).eps * max(1.0, *map(abs, impulses))
+                 * np.max(np.abs(prices)))
+        for i in range(fitted):
+            h = 1e-6 * max(1.0, abs(v[i]))
+            up, down = v.copy(), v.copy()
+            up[i] += h
+            down[i] -= h
+            want = (np.array(combined._path(up, terms, p0, p1))
+                    - np.array(combined._path(down, terms, p0, p1))) / (2 * h)
+            # relative to the column, or to that rounding where the column
+            # is 0 (k_sd and k_sp on a flat path)
+            gap = np.max(np.abs(got[:, i] - want))
+            assert gap <= 1e-6 * np.max(np.abs(want)) + noise / h, i
+
+    def test_fit_hands_the_solver_the_exact_jacobian(self, monkeypatch):
+        jacobians = []
+        real = fitting.minimize
+
+        def spy(residuals, start, bounds, jacobian):
+            start = np.asarray(start)
+            # before any residual call, after one elsewhere, and after one
+            # at the point itself: the Jacobian reuses only that point's path
+            first = jacobian(start)
+            residuals(start * 1.01)
+            assert np.array_equal(jacobian(start), first)
+            residuals(start)
+            assert np.array_equal(jacobian(start), first)
+            jacobians.append(first)
+            return real(residuals, start, bounds, jacobian)
+
+        monkeypatch.setattr(fitting, "minimize", spy)
+        food, markets = make_food(60)
+        trend = QuadraticTrend(a=TRUTH["trend_a"], b=TRUTH["trend_b"],
+                               r_squared=1.0)
+        fit_combined(food, markets, switch_candidates=[40])
+        fit_combined(food, markets, trend, switch_candidates=[40])
+        # residuals are data minus model: one row per month from the third,
+        # and the trend's columns only in the joint fit
+        assert [j.shape for j in jacobians] == [(58, 6), (58, 4)]
+
+
 class TestFitCombined:
     def test_recovers_truth_noiseless(self):
         food, markets = make_food()
@@ -212,14 +308,14 @@ class TestFitCombined:
         reports = []
         real = fitting.minimize
 
-        def counting(residuals, start, bounds):
+        def counting(residuals, start, bounds, jacobian):
             calls = [0]
 
             def counted(v):
                 calls[0] += 1
                 return residuals(v)
 
-            report = real(counted, start, bounds)
+            report = real(counted, start, bounds, jacobian)
             reports.append((report, calls[0]))
             return report
 

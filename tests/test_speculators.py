@@ -161,17 +161,17 @@ class TestIterateKernel:
     def test_matches_closed_form_in_every_regime(self, regime, seed, dev):
         params = REGIME_DRAWS[regime](np.random.default_rng(seed))
         p_e, n = params.equilibrium_price, 80
-        path = iterate([params.k_c] * n, [1.0 + params.k_sp - params.k_sd] * n,
-                       [-params.k_sp] * n, p_e, p_e + dev)
+        path = iterate([params.k_c] * n, 1.0 + params.k_sp - params.k_sd,
+                       -params.k_sp, p_e, p_e + dev)
         sim = np.array([p_e, p_e + dev, *path])
         cf = np.array([closed_form_second_order(params, dev, t)
                        for t in range(n + 2)])
         assert relative_gap(sim, cf) < 1e-8
 
     def test_returns_only_the_stepped_prices(self):
-        assert iterate([1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], 3.0, 5.0) \
+        assert iterate([1.0, 1.0], 2.0, -1.0, 3.0, 5.0) \
             == [1.0 + 10.0 - 3.0, 1.0 + 16.0 - 5.0]
-        assert iterate([], [], [], 3.0, 5.0) == []
+        assert iterate([], 2.0, -1.0, 3.0, 5.0) == []
 
     @pytest.mark.parametrize("simulate", [  # each steps iterate n times
         pytest.param(lambda params, n: simulate_first_order(params, 1.0, n),
@@ -191,8 +191,7 @@ class TestIterateKernel:
             finally:
                 tracemalloc.stop()
 
-        alone = peak(lambda: iterate(repeat(1.0, steps), repeat(0.7), repeat(-0.2),
-                                     1.0, 1.0))
+        alone = peak(lambda: iterate(repeat(1.0, steps), 0.7, -0.2, 1.0, 1.0))
         simulated = peak(lambda: simulate(params, steps))
         assert simulated - alone <= 1.5 * 8 * steps
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bubbledyn import (AlignmentError, DegenerateInputError, DomainError,
                        Frequency, TimeSeries, Window, box_cox,
@@ -132,6 +132,19 @@ class TestPearson:
         xs, ys = ((offset + v) * 10.0 ** log_scale for v in (x, y))
         assert _pearson(tuple(xs.tolist()), tuple(ys.tolist())) == \
             pytest.approx(np.corrcoef(xs, ys)[0, 1], abs=1e-13)
+
+    @given(*[st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6),
+                                st.floats(-1e6, -1e-6)), min_size=12, max_size=12)
+             for _ in range(2)],
+           st.integers(2, 12), st.integers(-1000, 1000), st.integers(-1000, 1000))
+    def test_bit_identical_across_binary_scalings(self, xs, ys, n, j, k):
+        """Scaling a series by 2**k changes no bit of rho while its values
+        stay normal: from about 1e-307 to 1e307 here."""
+        xs, ys = xs[:n], ys[:n]
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        scaled = _pearson([math.ldexp(v, j) for v in xs],
+                          [math.ldexp(v, k) for v in ys])
+        assert scaled == _pearson(xs, ys)
 
     def test_self_correlation(self):
         s = annual([1.0, 4.0, 2.0, 8.0])
@@ -300,9 +313,14 @@ class TestLaggedCrossCorrelation:
         assert scan.entries == tuple(entries)
         assert scan.omitted == tuple(omitted)
 
-    def test_overflowing_correlation_is_a_domain_error(self):
-        xs = monthly([1e300 * (-1) ** t for t in range(8)])
-        ys = monthly([1e300 * (-1) ** (t // 2) for t in range(8)])
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
-            lagged_cross_correlation(xs, ys, 2)
+    def test_huge_series_correlate_as_unit_ones(self):
+        # sums of squares of values near 1e300 would overflow unscaled
+        xs = [(-1.0) ** t * (1 + t % 3) for t in range(8)]
+        ys = [(-1.0) ** (t // 2) for t in range(8)]
+        unit = lagged_cross_correlation(monthly(xs), monthly(ys), 2)
+        huge = lagged_cross_correlation(monthly([1e300 * v for v in xs]),
+                                        monthly([1e300 * v for v in ys]), 2)
+        assert [lag for lag, _ in huge.entries] == [0, 1, 2]
+        for (_, got), (_, want) in zip(huge.entries, unit.entries):
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 

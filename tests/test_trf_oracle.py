@@ -7,9 +7,10 @@ must end at the same point up to the stopping tolerances.
 import numpy as np
 import pytest
 
-from bubbledyn import fit_supply_demand, fitting
+from bubbledyn import fit_combined, fit_supply_demand, fitting
 
 from conftest import FIT_SD_GRID, annual
+from test_combined import BOUNDED, make_food
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -21,9 +22,10 @@ def fit_sd_golden_problems():
     problems = []
     solve = fitting.least_squares
 
-    def spy(fun, x0, bounds):
+    def spy(fun, x0, bounds, jac=None):
         problems.append((fun, np.array(x0), bounds))
-        return solve(fun, x0, bounds)
+        assert jac is None  # fit-sd takes forward differences
+        return solve(fun, x0, bounds, jac)
 
     price = annual([94.031, 94.971, 98.0, 96.51, 100.716, 97.161, 95.401, 97.12,
                     106.556, 101.633, 96.664, 96.584])
@@ -40,6 +42,27 @@ def fit_sd_golden_problems():
     (fun, x0, bounds), = problems
     assert x0.tolist() == [0.9, 1.0, 0.3]
     return [(fun, np.array(start), bounds) for start in FIT_SD_GRID]
+
+
+def fit_combined_problems():
+    """(residuals, jacobian, start, bounds) of the joint fit of the bounded
+    generator, one per switch candidate: the true month and two wrong ones."""
+    problems = []
+    solve = fitting.least_squares
+
+    def spy(fun, x0, bounds, jac=None):
+        problems.append((fun, jac, np.array(x0), bounds))
+        return solve(fun, x0, bounds, jac)
+
+    food, markets = make_food(88, BOUNDED)
+    mp = pytest.MonkeyPatch()
+    mp.setattr(fitting, "least_squares", spy)
+    try:
+        fit_combined(food, markets, switch_candidates=[36, 40, 45])
+    finally:
+        mp.undo()
+    assert len(problems) == 3 and all(jac is not None for _, jac, _, _ in problems)
+    return problems
 
 
 def rosenbrock(v):
@@ -115,3 +138,31 @@ def test_same_steps_as_scipy_given_its_svd(monkeypatch):
             assert np.array_equal(got.fun, want.fun)
         assert len(calls["port"]) == len(calls["scipy"])
         assert all(map(np.array_equal, calls["port"], calls["scipy"]))
+
+
+def test_exact_jacobian_steps_as_scipy_given_its_svd(monkeypatch):
+    """With the combined fit's exact Jacobian as scipy's ``jac=callable``
+    and scipy's SVD swapped in, the port makes the same residual and
+    Jacobian calls in the same order and ends on the same bits."""
+    from scipy import linalg
+
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: linalg.svd(
+        a, full_matrices=full_matrices))
+    for fun, jac, x0, bounds in fit_combined_problems():
+        calls = {"scipy": [], "port": []}
+
+        def logged(name, f):
+            return lambda v: calls[name].append((f, v.copy())) or f(v)
+
+        want = optimize.least_squares(logged("scipy", fun), x0,
+                                      jac=logged("scipy", jac), bounds=bounds,
+                                      method="trf")
+        got = fitting.least_squares(logged("port", fun), x0, bounds,
+                                    jac=logged("port", jac))
+        assert got.success == want.success
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.fun, want.fun)
+        assert len(calls["port"]) == len(calls["scipy"])
+        for (f_port, v_port), (f_scipy, v_scipy) in zip(calls["port"],
+                                                        calls["scipy"]):
+            assert f_port is f_scipy and np.array_equal(v_port, v_scipy)
