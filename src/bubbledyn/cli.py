@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import data_io, speculators, timeseries
+from . import data_io, timeseries
 from .errors import BubbledynError, DataError, FitError
 from .timeseries import Frequency, Window
 
@@ -196,6 +196,8 @@ def _run(args: argparse.Namespace):
         return path.prices if args.format == "csv" else path
 
     if args.command == "simulate-spec":
+        from . import speculators
+
         params = speculators.SpeculatorParams(args.ksd, args.ksp, args.kc)
         if args.ksp == 0 and args.p1 is None:
             return speculators.simulate_first_order(params, args.p0, args.steps)
@@ -203,6 +205,8 @@ def _run(args: argparse.Namespace):
         return speculators.simulate_second_order(params, args.p0, p1, args.steps)
 
     if args.command == "phase":
+        from . import speculators
+
         return speculators.phase_grid(args.ksd, args.ksp)
 
     if args.command == "fit-sd":

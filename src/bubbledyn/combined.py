@@ -12,7 +12,6 @@ one-step update lag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,10 +20,11 @@ from . import fitting
 from .errors import AlignmentError, DegenerateInputError, FitError
 from .ethanol import QuadraticTrend
 from .speculators import RegimeClassification, check_domain, classify, iterate
-from .timeseries import Frequency, TimeSeries, align, format_date, ordinal
+from .timeseries import (Frequency, TimeSeries, align, format_date, ordinal,
+                         record, replace)
 
 
-@dataclass(frozen=True)
+@record
 class CombinedParams:
     k_sd: float
     k_sp: float
@@ -140,7 +140,7 @@ def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
     return TimeSeries(start, frequency, (p0, p1, *path), "price")
 
 
-@dataclass(frozen=True)
+@record
 class CombinedFit:
     params: CombinedParams
     report: fitting.FitReport

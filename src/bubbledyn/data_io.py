@@ -16,9 +16,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import DataError, DomainError
-from .speculators import PhaseGrid
-from .timeseries import (Frequency, LagScan, TimeSeries, align, format_date,
-                         ordinal)
+from .timeseries import Frequency, TimeSeries, align, ordinal
 
 _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _ANNUAL_RE = re.compile(r"^(\d{4})(?:-01)?$")
@@ -49,7 +47,8 @@ def load_series(path: Union[str, Path], frequency: Frequency, label: str = "",
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some editors write first
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -106,32 +105,6 @@ def derive_surplus(production: TimeSeries, consumption: TimeSeries) -> TimeSerie
 _CHUNK_ROWS = 4096
 
 
-def _series_rows(series: TimeSeries):
-    for i, v in enumerate(series.values):
-        yield format_date(series.date_at(i), series.frequency), repr(v)
-
-
-def _grid_rows(grid: PhaseGrid):
-    # each axis value is formatted once, not once per node
-    k_sd = [repr(v) for v in grid.k_sd_axis]
-    k_sp = [repr(v) for v in grid.k_sp_axis]
-    return zip(k_sd * len(k_sp), [sp for sp in k_sp for _ in k_sd],
-               map(repr, grid.discriminant), grid.labels,
-               ["" if period is None else repr(period) for period in grid.period])
-
-
-def _csv_layout(obj):
-    """The header and the rows of ``obj``'s CSV layout, every field a string
-    that needs no quoting."""
-    if isinstance(obj, TimeSeries):
-        return ("date", "value"), _series_rows(obj)
-    if isinstance(obj, PhaseGrid):
-        return ("k_sd", "k_sp", "delta", "label", "period"), _grid_rows(obj)
-    if isinstance(obj, LagScan):
-        return ("lag", "rho"), ((str(lag), repr(rho)) for lag, rho in obj.entries)
-    raise TypeError(f"no CSV layout for {type(obj).__name__}; use json")
-
-
 def _write(obj, fmt: str, fh) -> None:
     if fmt == "json":
         if not (isinstance(obj, dict) or hasattr(obj, "to_dict")):
@@ -139,8 +112,10 @@ def _write(obj, fmt: str, fh) -> None:
         json.dump(obj if isinstance(obj, dict) else obj.to_dict(), fh, indent=2)
         fh.write("\n")
     elif fmt == "csv":
+        if not hasattr(obj, "csv_layout"):
+            raise TypeError(f"no CSV layout for {type(obj).__name__}; use json")
         # the bytes csv.writer would write, streamed a chunk of rows at a time
-        header, rows = _csv_layout(obj)
+        header, rows = obj.csv_layout()
         fh.write(",".join(header) + "\r\n")
         lines = map(",".join, rows)
         while chunk := list(islice(lines, _CHUNK_ROWS)):
@@ -150,7 +125,8 @@ def _write(obj, fmt: str, fh) -> None:
 
 
 def emit(obj, fmt: str, destination) -> None:
-    """Write a series, phase grid, lag scan, report or dict to CSV or JSON.
+    """Write a dict or a result as JSON (its ``to_dict()``), or a result
+    that has a ``csv_layout()`` (series, phase grids, lag scans) as CSV.
 
     ``destination`` may be a path or an open text stream.
     """

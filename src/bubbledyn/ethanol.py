@@ -8,16 +8,15 @@ diversion series share one functional form: pure quadratic growth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import DegenerateInputError, DomainError
 from .timeseries import (TimeSeries, Window, align, keep_mask,
-                         normalize_unit_interval, _centred, _pearson)
+                         normalize_unit_interval, record, _centred, _pearson)
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticTrend:
     """Least-squares fit of y = a + b*t**2 (no linear term)."""
 
@@ -54,7 +53,7 @@ def quadratic_fit(s: TimeSeries, exclude: Sequence[Window] = ()) -> QuadraticTre
     return QuadraticTrend(a=a, b=b, r_squared=r2)
 
 
-@dataclass(frozen=True)
+@record
 class TrendComparison:
     trend_a: QuadraticTrend
     trend_b: QuadraticTrend

@@ -20,14 +20,13 @@ SciPy Developers, under the BSD 3-Clause licence in ``LICENSE-scipy.txt``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import norm
 
 from .errors import DegenerateInputError, FitError
-from .timeseries import TimeSeries, align
+from .timeseries import TimeSeries, align, record
 
 EPS = np.finfo(float).eps
 #: ftol, xtol and gtol of the solve.
@@ -38,7 +37,7 @@ class NonFiniteJacobian(ArithmeticError):
     """The scaled Jacobian at an iterate holds an inf or a NaN."""
 
 
-@dataclass(frozen=True)
+@record
 class LeastSquaresResult:
     """Terminal point of one solve; ``success`` is False at the evaluation cap."""
 
@@ -264,7 +263,7 @@ def least_squares(fun, x0, bounds, jac=None) -> LeastSquaresResult:
     return LeastSquaresResult(x=x, fun=f, success=converged)
 
 
-@dataclass(frozen=True)
+@record
 class FitReport:
     """Outcome of one bounded least-squares solve."""
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import DegenerateInputError
-from .timeseries import Frequency, TimeSeries
+from .timeseries import Frequency, TimeSeries, record
 
 #: |discriminant| below which the repeated-root solution is used.
 DELTA_EPS = 1e-12
@@ -33,7 +32,7 @@ def check_domain(k_sd: float, k_sp: float) -> None:
         raise ValueError("k_sp must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class SpeculatorParams:
     """Reduced parameters of the price recurrence.
 
@@ -69,7 +68,7 @@ class Regime(str, Enum):
     REPEATED_ROOT_DIVERGENT = "RepeatedRootDivergent"
 
 
-@dataclass(frozen=True)
+@record
 class RegimeClassification:
     """Qualitative behavior at one (k_sd, k_sp) point."""
 
@@ -236,7 +235,7 @@ def classify(k_sd: float, k_sp: float) -> RegimeClassification:
         convergent=bool(convergent), period=period)
 
 
-@dataclass(frozen=True)
+@record
 class PhaseGrid:
     """Regime columns of a grid whose rows sweep k_sp and columns k_sd;
     each column lists the nodes row-major."""
@@ -264,6 +263,17 @@ class PhaseGrid:
                            "label": label, "period": period,
                            "convergent": convergent}
                           for (sd, sp), delta, label, period, convergent in nodes]}
+
+    def csv_layout(self):
+        """The CSV header and one row per node, every field a string that
+        needs no quoting."""
+        # each axis value is formatted once, not once per node
+        k_sd = [repr(v) for v in self.k_sd_axis]
+        k_sp = [repr(v) for v in self.k_sp_axis]
+        return ("k_sd", "k_sp", "delta", "label", "period"), zip(
+            k_sd * len(k_sp), [sp for sp in k_sp for _ in k_sd],
+            map(repr, self.discriminant), self.labels,
+            ["" if period is None else repr(period) for period in self.period])
 
 
 def phase_grid(k_sd_range: tuple[float, float, int],

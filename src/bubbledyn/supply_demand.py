@@ -9,17 +9,16 @@ a surplus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateInputError, DomainError
-from .timeseries import TimeSeries, align, box_cox, inverse_box_cox
+from .timeseries import TimeSeries, align, box_cox, inverse_box_cox, record
 
 if TYPE_CHECKING:
     from . import fitting
 
 
-@dataclass(frozen=True)
+@record
 class SupplyDemandParams:
     """Box-Cox parameter plus intercepts/slopes of both curves."""
 
@@ -39,7 +38,7 @@ class SupplyDemandParams:
             raise ValueError("beta_d + beta_s must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class EquilibriumPath:
     """Simulated equilibrium prices/quantities in original units, with the
     per-step intercept trace (alpha_d(t), alpha_s(t))."""
@@ -114,7 +113,7 @@ def _determined_params(lam: float, beta_d: float, beta_s: float,
     return q0 + beta_d * p0, q0 - beta_s * p0
 
 
-@dataclass(frozen=True)
+@record
 class SupplyDemandFit:
     params: SupplyDemandParams
     report: fitting.FitReport

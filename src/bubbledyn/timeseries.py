@@ -7,7 +7,6 @@ construction, so everything is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import compress
 from typing import Optional, Sequence
@@ -24,7 +23,61 @@ class Frequency(Enum):
     ANNUAL = "annual"
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make ``cls`` a frozen value class over its annotated fields, as
+    ``dataclass(frozen=True)`` does: the constructor takes the fields in
+    order, by position or keyword, a class attribute of a field's name is
+    its default, and ``__post_init__`` runs last; setting or deleting an
+    attribute raises AttributeError; ``==``, ``hash`` and ``repr`` go by
+    the field values.  Built from closures, so no module is imported."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    known = frozenset(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = cls.__dict__.get("__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        fields = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or fields.keys() != known \
+                or not kwargs.keys().isdisjoint(names[:len(args)]):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, "
+                            f"with the defaults {defaults}")
+        self.__dict__.update((name, fields[name]) for name in names)
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def values(self):
+        return tuple(self.__dict__[name] for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = zip(names, values(self))
+        return f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with ``changes`` to its fields; its
+    ``__post_init__`` runs again."""
+    return type(obj)(**{**vars(obj), **changes})
+
+
+@record
 class Window:
     """Half-open index range [begin_index, end_index)."""
 
@@ -64,7 +117,7 @@ def format_date(date: tuple[int, int], frequency: Frequency) -> str:
     return f"{year:04d}"
 
 
-@dataclass(frozen=True)
+@record
 class TimeSeries:
     """Gap-free sequence of scalar observations at a fixed frequency.
 
@@ -129,6 +182,11 @@ class TimeSeries:
         return {"start": format_date(self.start, self.frequency),
                 "frequency": self.frequency.value, "label": self.label,
                 "values": list(self.values)}
+
+    def csv_layout(self):
+        """The CSV header and rows, every field a string that needs no quoting."""
+        return ("date", "value"), ((format_date(self.date_at(i), self.frequency), repr(v))
+                                   for i, v in enumerate(self.values))
 
 
 def align(*series: TimeSeries) -> tuple:
@@ -243,7 +301,7 @@ def normalize_unit_interval(s: TimeSeries, exclude: Optional[Window] = None) -> 
     return s.with_values(scaled)
 
 
-@dataclass(frozen=True)
+@record
 class LagScan:
     """Result of a lagged cross-correlation sweep.
 
@@ -252,11 +310,16 @@ class LagScan:
     """
 
     entries: tuple[tuple[int, float], ...]
-    omitted: tuple[int, ...] = field(default=())
+    omitted: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
         return {"entries": [{"lag": lag, "rho": rho} for lag, rho in self.entries],
                 "omitted": list(self.omitted)}
+
+    def csv_layout(self):
+        """The CSV header and rows (the entries), every field a string that
+        needs no quoting."""
+        return ("lag", "rho"), ((str(lag), repr(rho)) for lag, rho in self.entries)
 
 
 def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> LagScan:
@@ -267,7 +330,9 @@ def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> La
         raise ValueError("max_lag must be >= 0")
     entries = []
     omitted = []
-    for lag in range(max_lag + 1):
+    # past this lag, ys ends before the third value of xs: fewer than 3 overlap
+    stop = max(0, min(max_lag + 1, ys.start_ordinal + len(ys) - xs.start_ordinal - 2))
+    for lag in range(stop):
         try:
             ax, ay, _ = align(xs, replace(ys, start=ys.date_at(-lag)))
         except AlignmentError:
@@ -276,5 +341,6 @@ def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> La
             omitted.append(lag)
         else:
             entries.append((lag, _pearson(ax, ay)))
+    omitted.extend(range(stop, max_lag + 1))
     return LagScan(tuple(entries), tuple(omitted))
 

@@ -382,6 +382,16 @@ class TestErrorContract:
         assert set(error) == {"error", "type"}
         assert error["error"]
 
+    def test_lag_count_past_memory_is_memory_error(self, capsys, tmp_path):
+        # the lags that can overlap are walked; listing the 10**15 omitted
+        # ones cannot be allocated
+        write_series_csv(tmp_path / "m60.csv", 100.0 + np.arange(60.0))
+        series = str(tmp_path / "m60.csv")
+        code, out, err = run(capsys, "lagscan", "--a", series, "--b", series,
+                             "--max-lag", str(10**15))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("\n") == 1 and json.loads(err)["type"] == "MemoryError"
+
     @pytest.mark.parametrize("argv", [
         "correlate --a x --b y --format csv",
         "phase --ksd 0:5 --ksp 0:2:10",

@@ -98,6 +98,16 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="column"):
             load_series(f, Frequency.MONTHLY)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as Excel's "CSV UTF-8" export writes it
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"\xef\xbb\xbfdate,value\r\n2004-01,1.5\r\n2004-02,2.5\r\n")
+        s = load_series(f, Frequency.MONTHLY)
+        assert s.start == (2004, 1) and s.values == (1.5, 2.5)
+        f.write_bytes(b"\xef\xbb\xbfdate,value\n2004-01,1\xb5\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load_series(f, Frequency.MONTHLY)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_series(tmp_path / "nope.csv", Frequency.MONTHLY)

@@ -8,7 +8,7 @@ from bubbledyn import (AlignmentError, DegenerateInputError, DomainError,
                        Frequency, TimeSeries, Window, box_cox,
                        inverse_box_cox, lagged_cross_correlation,
                        normalize_unit_interval, pearson_correlation)
-from bubbledyn.timeseries import LAMBDA_EPS, _pearson, align, ordinal
+from bubbledyn.timeseries import LAMBDA_EPS, _pearson, align, ordinal, replace
 
 from conftest import annual, monthly
 
@@ -294,8 +294,9 @@ class TestLaggedCrossCorrelation:
         with pytest.raises(AlignmentError):
             lagged_cross_correlation(annual([1, 2, 3]), monthly([1, 2, 3]), 1)
 
+    # max_lag reaches past the last lag at which the two series can overlap
     @given(st.integers(-6, 6), st.integers(1, 12), st.integers(1, 12),
-           st.integers(0, 15), st.integers(0, 2**32 - 1))
+           st.integers(0, 40), st.integers(0, 2**32 - 1))
     def test_pairs_match_a_walk_by_date(self, shift, nx, ny, max_lag, seed):
         rng = np.random.default_rng(seed)
         xs = monthly(rng.normal(size=nx), start=(2004, 1))
@@ -324,3 +325,110 @@ class TestLaggedCrossCorrelation:
         for (_, got), (_, want) in zip(huge.entries, unit.entries):
             assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
+
+
+def _records():
+    """Each record class with valid fields, a valid change of one field, a
+    change its ``__post_init__`` rejects (None where it validates nothing),
+    and the values of the fields left to their defaults."""
+    from bubbledyn import (CombinedFit, CombinedParams, EquilibriumPath,
+                           FitReport, LagScan, PhaseGrid, QuadraticTrend,
+                           Regime, RegimeClassification, SpeculatorParams,
+                           SupplyDemandFit, SupplyDemandParams,
+                           TrendComparison)
+    from bubbledyn.fitting import LeastSquaresResult
+
+    series = monthly([1.0, 2.0, 4.0])
+    trend = QuadraticTrend(1.0, 0.5, 0.9)
+    report = FitReport((0.1, 1.2), 0.5, 7, True)
+    sd = SupplyDemandParams(1.0, 300.0, 1.0, 150.0, 1.0)
+    path = EquilibriumPath(series, series, ((1.0, 2.0),))
+    params = CombinedParams(0.1, 1.2, (-0.1,), 105.0, 0.01, 40)
+    regime = RegimeClassification(0.1, 1.2, -0.5, (0.5 + 0.1j, 0.5 - 0.1j),
+                                  Regime.AMPLIFIED_OSCILLATION, False, 23.7)
+    cases = [
+        (Window, {"begin_index": 1, "end_index": 4}, {"end_index": 5},
+         {"end_index": 1}, {}),
+        (TimeSeries, {"start": (2004, 1), "frequency": Frequency.MONTHLY,
+                      "values": (1.0, 2.0), "label": ""},
+         {"label": "price"}, {"values": (1.0, math.nan)}, {"label": ""}),
+        (LagScan, {"entries": ((0, 0.5),), "omitted": ()}, {"omitted": (1,)},
+         None, {"omitted": ()}),
+        (QuadraticTrend, {"a": 1.0, "b": 0.5, "r_squared": 0.9},
+         {"b": 0.25}, {"r_squared": 1.5}, {}),
+        (TrendComparison, {"trend_a": trend, "trend_b": trend,
+                           "coefficient_gap": 0.0, "rho": 0.9},
+         {"rho": 0.8}, None, {}),
+        (LeastSquaresResult, {"x": (0.1, 1.2), "fun": (0.0,), "success": True},
+         {"success": False}, None, {}),
+        (FitReport, {"parameter_vector": (0.1, 1.2), "objective_value": 0.5,
+                     "evaluations": 7, "converged": True},
+         {"evaluations": 8}, None, {}),
+        (SpeculatorParams, {"k_sd": 0.1, "k_sp": 1.2, "k_c": 9.8},
+         {"k_c": 1.0}, {"k_sd": -1.0}, {}),
+        (RegimeClassification, vars(regime), {"convergent": True}, None,
+         {"period": None}),
+        (PhaseGrid, {"k_sd_axis": (0.1, 0.2), "k_sp_axis": (1.2,),
+                     "discriminant": (-0.5, -0.4),
+                     "labels": (Regime.AMPLIFIED_OSCILLATION,) * 2,
+                     "convergent": (False, False), "period": (23.7, 20.1)},
+         {"period": (None, None)}, None, {}),
+        (SupplyDemandParams, vars(sd), {"lam": 0.5}, {"beta_d": -1.0}, {}),
+        (EquilibriumPath, vars(path), {"intercept_trace": ()}, None, {}),
+        (SupplyDemandFit, {"params": sd, "report": report, "r2_price": 0.9,
+                           "r2_consumption": 0.8, "residual_price": series,
+                           "residual_consumption": series, "path": path},
+         {"r2_price": 0.7}, None, {}),
+        (CombinedParams, vars(params), {"couplings": ()}, {"switch_index": 0}, {}),
+        (CombinedFit, {"params": params, "report": report, "sse": 0.5, "r2": 0.9,
+                       "path": series, "switch_date": (2007, 5), "regime": regime,
+                       "trend_box": None},
+         {"trend_box": ((-1.0, 1.0), (-1.0, 1.0))}, None, {}),
+    ]
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("cls, fields, change, bad, defaults", _records())
+    def test_frozen_value(self, cls, fields, change, bad, defaults):
+        fields = dict(fields)
+        record = cls(**fields)
+        assert list(vars(record)) == list(fields) and vars(record) == fields
+        twin = cls(*fields.values())
+        assert record == twin and hash(record) == hash(twin)
+        listed = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(record) == f"{cls.__name__}({listed})"
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, fields[name])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.other = 1
+        assert vars(record) == fields
+        short = {k: v for k, v in fields.items() if k not in defaults}
+        assert vars(cls(**short)) == {**fields, **defaults}
+        changed = replace(record, **change)
+        assert changed == cls(**{**fields, **change}) and changed != record
+        assert record != tuple(fields.values())
+        if bad is not None:
+            with pytest.raises(ValueError):
+                replace(record, **bad)
+            with pytest.raises(ValueError):
+                cls(**{**fields, **bad})
+
+    def test_replace_reruns_post_init(self):
+        s = replace(monthly([1.0, 2.0]), values=[3, 4], start=(2005.0, 2))
+        assert s.values == (3.0, 4.0) and type(s.values[0]) is float
+        assert s.start == (2005, 2) and type(s.start[0]) is int
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 2, 3), {}),                      # too many positionals
+        ((1,), {}),                           # a field missing
+        ((1,), {"begin_index": 1}),           # a field given twice
+        ((1, 2), {"end": 3}),                 # not a field
+    ])
+    def test_constructor_binds_as_a_signature_does(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Window(*args, **kwargs)
+        assert Window(1, end_index=2) == Window(end_index=2, begin_index=1)
