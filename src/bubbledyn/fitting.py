@@ -8,19 +8,18 @@ residuals, on which the solver shrinks its step.
 
 :func:`least_squares` is a numpy port of the path of
 ``scipy.optimize.least_squares(method="trf")`` that these fits take: finite
-bounds, a dense Jacobian that is either the caller's exact one (scipy's
-``jac=callable``) or forward differences, the exact trust-region
-subproblem through one SVD (Moré 1978), linear loss, unit variable scaling,
-tolerances of 1e-8 and 100 evaluations per variable.  It follows scipy's
-``optimize/_lsq/trf.py``, ``optimize/_lsq/common.py`` and
-``optimize/_numdiff.py`` step for step, so the two agree up to the last bits
-of the SVD.  Those files are Copyright (c) 2001-2002 Enthought, Inc. 2003,
-SciPy Developers, under the BSD 3-Clause licence in ``LICENSE-scipy.txt``.
+bounds, the caller's exact dense Jacobian (scipy's ``jac=callable``), the
+exact trust-region subproblem through one SVD (Moré 1978), linear loss, unit
+variable scaling, tolerances of 1e-8 and 100 evaluations per variable.  It
+follows scipy's ``optimize/_lsq/trf.py`` and ``optimize/_lsq/common.py`` step
+for step, so the two agree up to the last bits of the SVD.  Those files are
+Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers, under the
+BSD 3-Clause licence in ``LICENSE-scipy.txt``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import norm
@@ -33,10 +32,6 @@ EPS = np.finfo(float).eps
 TOL = 1e-8
 
 
-class NonFiniteJacobian(ArithmeticError):
-    """The scaled Jacobian at an iterate holds an inf or a NaN."""
-
-
 @record
 class LeastSquaresResult:
     """Terminal point of one solve; ``success`` is False at the evaluation cap."""
@@ -44,22 +39,6 @@ class LeastSquaresResult:
     x: np.ndarray
     fun: np.ndarray
     success: bool
-
-
-def _jacobian(fun, x, f, lo, hi):
-    """Forward differences; a step that would leave the box flips sign, or
-    shrinks to the farther bound where neither direction fits."""
-    h = EPS ** 0.5 * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    below, above = x - lo, hi - x
-    fits = np.abs(h) <= np.maximum(below, above)
-    h = np.where(((x + h < lo) | (x + h > hi)) & fits, -h, h)
-    h = np.where(fits, h, np.where(above >= below, above, -below))
-    columns = np.empty((x.size, f.size))
-    for i in range(x.size):
-        x1 = x.copy()
-        x1[i] = x[i] + h[i]
-        columns[i] = (fun(x1) - f) / (x1[i] - x[i])
-    return columns.T  # Fortran order, as scipy's, so J.T @ f rounds alike
 
 
 def _strictly_feasible(x, lo, hi, rstep):
@@ -191,24 +170,24 @@ def _select_step(x, J_h, diag_h, g_h, p_h, d, Delta, lo, hi, theta):
     return -d * g_h * ag_stride, -g_h * ag_stride, -ag_value
 
 
-def least_squares(fun, x0, bounds, jac=None) -> LeastSquaresResult:
+def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
     """Minimise ``|fun(x)|^2 / 2`` over the box ``bounds = (lo, hi)`` from
     ``x0`` by the trust-region-reflective method.
 
     ``fun`` returns a 1-D float array, and ``x0`` lies in the box, whose
-    bounds are finite with lo < hi (:func:`minimize` checks both).  ``jac``,
-    if given, returns the Jacobian of ``fun`` at x as an (m, n) float array;
-    it replaces the forward differences at the start and at each accepted
-    point, as scipy's ``jac=callable`` does.  Stops as
-    scipy does: on a scaled gradient below :data:`TOL`, on a relative cost
-    change or step below it, or, unsuccessfully, after 100 evaluations per
-    variable outside the Jacobians.  Raises :class:`NonFiniteJacobian` where
-    the scaled Jacobian or gradient at an accepted point is not finite.
+    bounds are finite with lo < hi (:func:`minimize` checks both).  ``jac``
+    returns the Jacobian of ``fun`` at x as an (m, n) float array; it is
+    called at the start and at each accepted point, as scipy's
+    ``jac=callable`` is.  Stops as scipy does: on a scaled gradient below
+    :data:`TOL`, on a relative cost change or step below it, or,
+    unsuccessfully, after 100 evaluations per variable.  Raises
+    :class:`FitError` where the scaled Jacobian or gradient at an accepted
+    point is not finite.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     x = _strictly_feasible(np.asarray(x0, dtype=float), lo, hi, 1e-10)
     f = fun(x)
-    J = _jacobian(fun, x, f, lo, hi) if jac is None else jac(x)
+    J = jac(x)
     m, n = J.shape
     cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
     Delta = norm(x / _coleman_li(x, g, lo, hi)[0] ** 0.5) or 1.0
@@ -223,7 +202,7 @@ def least_squares(fun, x0, bounds, jac=None) -> LeastSquaresResult:
         d, diag_h = v ** 0.5, g * dv
         J_aug = np.vstack([J * d, np.diag(diag_h ** 0.5)])
         if not np.all(np.isfinite(J_aug)):
-            raise NonFiniteJacobian("the scaled Jacobian is not finite")
+            raise FitError("the solve met a non-finite Jacobian")
         U, s, Vt = np.linalg.svd(J_aug, full_matrices=False)
         uf = U.T.dot(np.concatenate([f, np.zeros(n)]))
         theta = max(0.995, 1 - g_norm)  # how far a step stays off the bounds
@@ -258,7 +237,7 @@ def least_squares(fun, x0, bounds, jac=None) -> LeastSquaresResult:
             Delta = Delta_new
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = _jacobian(fun, x, f, lo, hi) if jac is None else jac(x)
+            J = jac(x)
             g = J.T.dot(f)
     return LeastSquaresResult(x=x, fun=f, success=converged)
 
@@ -276,18 +255,15 @@ class FitReport:
 def minimize(residuals: Callable[[np.ndarray], np.ndarray],
              start: Sequence[float],
              bounds: Sequence[tuple[float, float]],
-             jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-             ) -> FitReport:
+             jacobian: Callable[[np.ndarray], np.ndarray]) -> FitReport:
     """Bounded least squares from ``start``; returns the terminal point.
 
-    ``jacobian``, if given, returns the exact Jacobian of ``residuals`` as a
-    float array, one row per residual and one column per parameter; without
-    it the solve takes forward differences of ``residuals``.
+    ``jacobian`` returns the exact Jacobian of ``residuals`` as a float
+    array, one row per residual and one column per parameter.
     ``objective_value`` is the sum of squared residuals at the terminal
     point, ``converged`` the solve's success flag, and ``evaluations`` the
-    residual calls: every call of ``residuals``, finite-difference
-    Jacobians and the start check included.  Calls of ``jacobian`` are not
-    residual calls and are not counted.
+    calls of ``residuals``, the start check included; calls of ``jacobian``
+    are not counted.
     Deterministic given identical inputs.  Raises :class:`FitError` that
     names the cause when the start's residuals are not finite, the solve
     meets a non-finite Jacobian, or it ends at a sum of squares that
@@ -311,12 +287,7 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
 
     if not np.all(np.isfinite(counted(start))):
         raise FitError("the residuals at the start are not finite")
-    try:
-        res = least_squares(counted, start, bounds=(lo, hi), jac=jacobian)
-    except NonFiniteJacobian:
-        # an exact Jacobian that is not finite, or a finite-difference step
-        # into a non-finite region, ends the solve
-        raise FitError("the solve met a non-finite Jacobian") from None
+    res = least_squares(counted, start, bounds=(lo, hi), jac=jacobian)
     sse = float(res.fun @ res.fun)
     if not np.isfinite(sse):
         raise FitError("the sum of squares at the fitted point overflows")

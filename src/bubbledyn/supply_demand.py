@@ -181,6 +181,32 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
             return np.full(len(pv) + len(qv), np.nan)
         return np.concatenate([(pv - p_mod) * scale_p, (qv - q_mod) * scale_q])
 
+    # With D and S the summed shifts of the demand and supply intercepts by
+    # shortages and by surpluses, the transformed equilibrium is
+    # y_p = bc(p0) + c (D - S) and y_q = bc(q0) + S + w (D - S), where
+    # c = 1 / (beta_d + beta_s), w = beta_s c and D - S = -sum(surplus[:t]);
+    # lam enters y only through bc(x0), whose derivative by lam is
+    # (x0^lam ln x0 - bc(x0)) / lam.  A fitted value x = inv_bc(y) has
+    # dx/dy = x^(1 - lam) and, at fixed y, dx/dlam = x (y / x^lam - ln x) / lam,
+    # where y / x^lam = (1 - x^-lam) / lam.
+    gap = -np.concatenate([[0.0], np.cumsum(sv[:-1])])
+
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        lam, beta_d, beta_s = v
+        c = 1.0 / (beta_d + beta_s)
+        p_mod, q_mod = map(np.array, _path(sv, _params(*v))[:2])
+        blocks = []
+        for x0, x, dy_dbetas, scale in (
+                (p0_raw, p_mod, (-c * c, -c * c), scale_p),
+                (q0_raw, q_mod, (-beta_s * c * c, beta_d * c * c), scale_q)):
+            dy0_dlam = (x0 ** lam * math.log(x0) - box_cox(x0, lam)) / lam
+            dx_dy = x ** (1.0 - lam)
+            dx_dlam = (x * ((1.0 - x ** -lam) / lam - np.log(x)) / lam
+                       + dx_dy * dy0_dlam)
+            blocks.append(-scale * np.column_stack(
+                [dx_dlam, *(dx_dy * gap * d for d in dy_dbetas)]))
+        return np.vstack(blocks)
+
     bounds = [(0.5, 1.2), (0.1, 5.0), (0.0, 5.0)]
     # One start: (lambda, beta_d, beta_s) = (0.9, 1, 0.3), the former 18-start
     # grid's winner on the CLI golden, with both slopes scaled up where the
@@ -189,7 +215,7 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
     rise = float(np.max(np.cumsum(sv[:-1])))
     scale = max(1.0, 2.0 * rise / (1.3 * (box_cox(p0_raw, 0.9) + 1 / 0.9)))
     x0 = (0.9, min(5.0, scale), min(5.0, 0.3 * scale))
-    report = fitting.minimize(residuals, x0, bounds)
+    report = fitting.minimize(residuals, x0, bounds, jacobian)
 
     params = _params(*report.parameter_vector)
     path = simulate_equilibrium_path(

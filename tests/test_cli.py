@@ -163,8 +163,10 @@ class TestFitCommands:
         assert report["lambda"] == pytest.approx(0.9, abs=1e-3)
         # no worse than the objective scipy's own solver reached here
         assert report["objective"] <= 0.05281463364204926 * (1 + 1e-9)
+        # the exact Jacobian takes no residual calls of its own
+        assert report["evaluations"] <= 10
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "ee5ad659bf0b0159908d94cee5bad720a5e1498c6d6fe0b043cd912704b86c22"
+            "d9fb519cda3d896ca06059702e7a6bad9b4d2464c2454a57c0e84a3a076afac7"
 
     def test_fit_ethanol_output_bytes(self, capsys, tmp_path):
         write_annual_csv(tmp_path / "e.csv", [1.5, 1.75, 2.25, 2.5, 3.5, 4.0,

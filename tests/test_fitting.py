@@ -6,20 +6,29 @@ from bubbledyn import DegenerateInputError, FitError, fitting, minimize, r_squar
 from conftest import annual
 
 
+def identity(v):
+    return np.eye(len(v))
+
+
+def rosenbrock(v):
+    return [1 - v[0], 10 * (v[1] - v[0] ** 2)]
+
+
+def rosenbrock_jacobian(v):
+    return np.array([[-1.0, 0.0], [-20.0 * v[0], 10.0]])
+
+
 class TestMinimize:
     def test_convex_1d(self):
         report = minimize(lambda v: [v[0] - 3.0],
-                          start=(0.0,), bounds=[(-10.0, 10.0)])
+                          start=(0.0,), bounds=[(-10.0, 10.0)], jacobian=identity)
         assert report.parameter_vector[0] == pytest.approx(3.0, abs=1e-6)
         assert report.objective_value < 1e-10
 
     def test_rosenbrock_valley(self):
-        def rosenbrock(v):
-            x, y = v
-            return [1 - x, 10 * (y - x * x)]
-
         for start in [(-1.5, 2.0), (0.0, 0.0), (2.0, -1.0), (0.5, 2.5), (-2.0, -2.0)]:
-            report = minimize(rosenbrock, start, bounds=[(-5.0, 5.0)] * 2)
+            report = minimize(rosenbrock, start, [(-5.0, 5.0)] * 2,
+                              rosenbrock_jacobian)
             assert report.parameter_vector == pytest.approx((1.0, 1.0), abs=1e-4)
 
     def test_all_starts_infeasible(self, monkeypatch):
@@ -28,59 +37,68 @@ class TestMinimize:
         calls = []
         with pytest.raises(FitError):
             minimize(lambda v: calls.append(v) or [np.nan], start=(0.0,),
-                     bounds=[(-5.0, 5.0)])
+                     bounds=[(-5.0, 5.0)], jacobian=identity)
         assert len(calls) == 1
 
     def test_non_finite_jacobian_ends_only_that_start(self):
-        def edge(v):
-            # the optimum x = 2 lies past the edge of the finite region
-            return [v[0] - 2.0, v[1]] if v[0] <= 1.0 else [np.nan, np.nan]
+        def kinked(v):
+            # differentiable only for x <= 1, short of the optimum x = 2
+            return np.eye(2) if v[0] <= 1.0 else np.full((2, 2), np.nan)
 
         with pytest.raises(FitError, match="non-finite Jacobian"):
-            minimize(edge, start=(0.0, 1.0), bounds=[(-5.0, 5.0)] * 2)
+            minimize(lambda v: [v[0] - 2.0, v[1]], (0.0, 1.0), [(-5.0, 5.0)] * 2,
+                     kinked)
 
-    @pytest.mark.parametrize("residuals, start, bounds, message", [
-        pytest.param(lambda v: [np.nan], (0.0,), [(-5.0, 5.0)],
+    @pytest.mark.parametrize("residuals, jacobian, start, bounds, message", [
+        pytest.param(lambda v: [np.nan], identity, (0.0,), [(-5.0, 5.0)],
                      "residuals at the start are not finite", id="start"),
-        # finite only at the start, so its first difference quotient is not
-        pytest.param(lambda v: [v[0]] if v[0] == 0.5 else [np.nan], (0.5,),
+        pytest.param(lambda v: [v[0]], lambda v: np.array([[np.nan]]), (0.5,),
                      [(0.0, 1.0)], "non-finite Jacobian", id="jacobian"),
         # every residual is finite, but their sum of squares is not
-        pytest.param(lambda v: np.full(3, 1e200) + v, (0.5,), [(0.0, 1.0)],
+        pytest.param(lambda v: np.full(3, 1e200) + v, lambda v: np.ones((3, 1)),
+                     (0.5,), [(0.0, 1.0)],
                      "sum of squares at the fitted point overflows", id="overflow"),
     ])
-    def test_fit_error_names_its_cause(self, residuals, start, bounds, message):
+    def test_fit_error_names_its_cause(self, residuals, jacobian, start, bounds,
+                                       message):
         with np.errstate(all="ignore"), pytest.raises(FitError, match=message):
-            minimize(residuals, start, bounds)
+            minimize(residuals, start, bounds, jacobian)
 
     def test_deterministic(self):
         def f(v):
             return [v[0] - 1, (v[1] + 2) ** 2]
 
-        kwargs = dict(start=(3.0, 1.0), bounds=[(-5.0, 5.0)] * 2)
+        def jacobian(v):
+            return np.array([[1.0, 0.0], [0.0, 2 * (v[1] + 2)]])
+
+        kwargs = dict(start=(3.0, 1.0), bounds=[(-5.0, 5.0)] * 2, jacobian=jacobian)
         assert minimize(f, **kwargs) == minimize(f, **kwargs)
 
     def test_start_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            minimize(lambda v: [0.0], start=(0.0, 0.0), bounds=[(-1.0, 1.0)])
+            minimize(lambda v: [0.0], start=(0.0, 0.0), bounds=[(-1.0, 1.0)],
+                     jacobian=lambda v: np.zeros((1, 2)))
 
     def test_infinite_bounds(self):
         # the solver handles only the finite boxes the models use
         with pytest.raises(ValueError, match="finite"):
-            minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-np.inf, 1.0)])
+            minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-np.inf, 1.0)],
+                     jacobian=identity)
 
     def test_start_outside_bounds(self):
         with pytest.raises(ValueError, match="outside the bounds"):
-            minimize(lambda v: [v[0]], start=(2.0,), bounds=[(-1.0, 1.0)])
+            minimize(lambda v: [v[0]], start=(2.0,), bounds=[(-1.0, 1.0)],
+                     jacobian=identity)
 
     def test_evaluations_count_every_residual_call(self):
         calls = []
 
         def residuals(v):
             calls.append(tuple(v))
-            return [1 - v[0], 10 * (v[1] - v[0] ** 2)]
+            return rosenbrock(v)
 
-        report = minimize(residuals, start=(-1.5, 2.0), bounds=[(-5.0, 5.0)] * 2)
+        report = minimize(residuals, (-1.5, 2.0), [(-5.0, 5.0)] * 2,
+                          rosenbrock_jacobian)
         assert report.evaluations == len(calls)
         assert calls[0] == (-1.5, 2.0)
 
@@ -91,7 +109,8 @@ class TestMinimize:
                                               success=success)
 
         monkeypatch.setattr(fitting, "least_squares", least_squares)
-        report = minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-1.0, 1.0)])
+        report = minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-1.0, 1.0)],
+                          jacobian=identity)
         assert report.parameter_vector == (0.5,)
         assert report.objective_value == 1.0
         assert report.converged is success

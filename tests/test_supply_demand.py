@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bubbledyn import (DegenerateInputError, DomainError, FitError,
                        SupplyDemandParams, box_cox, equilibrium,
@@ -164,6 +164,35 @@ class TestInitializationIdentity:
             assert q_e == pytest.approx(box_cox(q0_raw, lam), rel=1e-10)
 
 
+def sd_problem(seed, noisy):
+    """Price, consumption and surplus of 15 years from a random truth, with
+    1% relative noise after the first year where ``noisy``."""
+    rng = np.random.default_rng(seed)
+    truth = SupplyDemandParams(rng.uniform(0.75, 1.05), 300.0,
+                               rng.uniform(0.5, 2.5), 150.0,
+                               rng.uniform(0.3, 1.5))
+    surplus = annual(rng.normal(scale=8.0, size=15), start=(1982, 1))
+    path = simulate_equilibrium_path(surplus, truth)
+    price, cons = path.prices.to_array(), path.quantities.to_array()
+    if noisy:
+        price[1:] *= 1.0 + rng.normal(0.0, 0.01, len(price) - 1)
+        cons[1:] *= 1.0 + rng.normal(0.0, 0.01, len(cons) - 1)
+    return path.prices.with_values(price), path.quantities.with_values(cons), surplus
+
+
+def handed_to_minimize(problem):
+    """The fit of ``problem`` and the (residuals, start, bounds, jacobian) it
+    hands ``fitting.minimize``."""
+    solves = []
+    real = fitting.minimize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "minimize",
+                   lambda *args: solves.append(args) or real(*args))
+        fit = fit_supply_demand(*problem)
+    (solve,) = solves
+    return fit, solve
+
+
 class TestFit:
     def test_recovers_known_parameters_noiseless(self):
         truth = SupplyDemandParams(1.0, 300.0, 1.0, 150.0, 1.0)
@@ -192,18 +221,9 @@ class TestFit:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_reported_path_is_simulate_equilibrium_path(self, seed, noisy):
-        rng = np.random.default_rng(seed)
-        truth = SupplyDemandParams(rng.uniform(0.75, 1.05), 300.0,
-                                   rng.uniform(0.5, 2.5), 150.0,
-                                   rng.uniform(0.3, 1.5))
-        surplus = annual(rng.normal(scale=8.0, size=15), start=(1982, 1))
-        path = simulate_equilibrium_path(surplus, truth)
-        price, cons = path.prices.to_array(), path.quantities.to_array()
-        if noisy:
-            price[1:] *= 1.0 + rng.normal(0.0, 0.01, len(price) - 1)
-            cons[1:] *= 1.0 + rng.normal(0.0, 0.01, len(cons) - 1)
-        fit = fit_supply_demand(path.prices.with_values(price),
-                                path.quantities.with_values(cons), surplus)
+        price, cons, surplus = sd_problem(seed, noisy)
+        fit = fit_supply_demand(price, cons, surplus)
+        price, cons = price.to_array(), cons.to_array()
         again = simulate_equilibrium_path(surplus, fit.params)
         assert fit.path.prices.values == again.prices.values
         assert fit.path.quantities.values == again.quantities.values
@@ -215,15 +235,29 @@ class TestFit:
     def test_start_slopes_keep_its_path_in_the_price_domain(self):
         # a surplus run takes this path's transformed price at (0.9, 1, 0.3)
         # below -1/0.9, where the residuals are not finite
-        rng = np.random.default_rng(2708)
-        truth = SupplyDemandParams(rng.uniform(0.75, 1.05), 300.0,
-                                   rng.uniform(0.5, 2.5), 150.0,
-                                   rng.uniform(0.3, 1.5))
-        surplus = annual(rng.normal(scale=8.0, size=15), start=(1982, 1))
-        path = simulate_equilibrium_path(surplus, truth)
-        fit = fit_supply_demand(path.prices, path.quantities, surplus)
+        fit = fit_supply_demand(*sd_problem(2708, False))
         assert fit.report.converged
         assert fit.report.objective_value < 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
+           st.tuples(*[st.floats(0.01, 0.99)] * 3))
+    def test_jacobian_matches_central_differences(self, seed, noisy, where):
+        _, (residuals, _, bounds, jacobian) = handed_to_minimize(
+            sd_problem(seed, noisy))
+        lo, hi = np.array(bounds).T
+        v = lo + (hi - lo) * np.array(where)
+        steps = np.diag(6e-6 * np.maximum(1.0, np.abs(v)))  # about eps^(1/3)
+        ups = [residuals(v + h) for h in steps]
+        downs = [residuals(v - h) for h in steps]
+        assume(np.all(np.isfinite([residuals(v), *ups, *downs])))
+        want = np.column_stack([(up - down) / (2 * h.sum())
+                                for up, down, h in zip(ups, downs, steps)])
+        got = jacobian(v)
+        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want).max(axis=0))
+        # the price rows depend on the slopes only through 1 / (beta_d + beta_s)
+        n = len(got) // 2
+        assert np.array_equal(got[:n, 1], got[:n, 2])
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -258,19 +292,15 @@ def benchmark_problem(rng, noise):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_one_start_matches_the_old_grid(monkeypatch, seed):
+def test_one_start_matches_the_old_grid(seed):
     noise = seed % 2 == 1
-    problem = benchmark_problem(np.random.default_rng(seed), noise)
-    solves = []
-    real = fitting.minimize
-    monkeypatch.setattr(fitting, "minimize",
-                        lambda *args: solves.append(args) or real(*args))
-    fit = fit_supply_demand(*problem)
-    (residuals, _, bounds), = solves
+    fit, (residuals, _, bounds, jacobian) = handed_to_minimize(
+        benchmark_problem(np.random.default_rng(seed), noise))
     grid = []
     for start in FIT_SD_GRID:
         try:
-            grid.append(real(residuals, start, bounds).objective_value)
+            grid.append(fitting.minimize(residuals, start, bounds,
+                                         jacobian).objective_value)
         except FitError:  # the grid skipped such starts
             pass
     if noise:

@@ -220,8 +220,11 @@ class TestNormalize:
             with pytest.raises(DegenerateInputError):
                 normalize_unit_interval(annual(values), exclude=window)
             return
+        # the first minimum and maximum, as min() and max() take them: which
+        # of 0.0 and -0.0 kept.min() returns is not specified
+        lo, hi = kept[kept.argmin()], kept[kept.argmax()]
         with np.errstate(all="ignore"):
-            reference = (v - kept.min()) / (kept.max() - kept.min())
+            reference = (v - lo) / (hi - lo)
         if not np.all(np.isfinite(reference)):
             with pytest.raises(DomainError, match="overflows"):
                 normalize_unit_interval(annual(values), exclude=window)

@@ -1,7 +1,8 @@
 """The numpy trust-region-reflective port against scipy's own solver.
 
-Both run the same algorithm; only the SVD's last bits differ, so the two
-must end at the same point up to the stopping tolerances.
+Both run the same algorithm with the same exact Jacobians; only the SVD's
+last bits differ, so the two must end at the same point up to the stopping
+tolerances.
 """
 
 import numpy as np
@@ -15,53 +16,48 @@ from test_combined import BOUNDED, make_food
 optimize = pytest.importorskip("scipy.optimize")
 
 
-def fit_sd_golden_problems():
-    """(residuals, start, bounds) of the fit-sd CLI golden from every point
-    of the start grid the fit once ran; the golden's one solve starts at
-    (0.9, 1.0, 0.3)."""
+def spied_problems(fit, *args, **kwargs):
+    """(residuals, jacobian, start, bounds) of every solve ``fit`` runs."""
     problems = []
     solve = fitting.least_squares
 
-    def spy(fun, x0, bounds, jac=None):
-        problems.append((fun, np.array(x0), bounds))
-        assert jac is None  # fit-sd takes forward differences
+    def spy(fun, x0, bounds, jac):
+        problems.append((fun, jac, np.array(x0), bounds))
         return solve(fun, x0, bounds, jac)
 
+    mp = pytest.MonkeyPatch()
+    mp.setattr(fitting, "least_squares", spy)
+    try:
+        fit(*args, **kwargs)
+    finally:
+        mp.undo()
+    assert all(callable(jac) for _, jac, _, _ in problems)
+    return problems
+
+
+def fit_sd_golden_problems():
+    """(residuals, jacobian, start, bounds) of the fit-sd CLI golden from
+    every point of the start grid the fit once ran; the golden's one solve
+    starts at (0.9, 1.0, 0.3)."""
     price = annual([94.031, 94.971, 98.0, 96.51, 100.716, 97.161, 95.401, 97.12,
                     106.556, 101.633, 96.664, 96.584])
     consumption = annual([326.377, 324.745, 331.239, 333.735, 342.723, 348.755,
                           351.797, 355.225, 358.889, 367.304, 375.643, 379.733])
     surplus = annual([0.0, -6.5, 4.0, -9.0, 7.5, 2.0, -3.5, -11.0, 5.0, 8.5,
                       -2.0, 1.0])
-    mp = pytest.MonkeyPatch()
-    mp.setattr(fitting, "least_squares", spy)
-    try:
-        fit_supply_demand(price, consumption, surplus)
-    finally:
-        mp.undo()
-    (fun, x0, bounds), = problems
+    (fun, jac, x0, bounds), = spied_problems(fit_supply_demand, price,
+                                             consumption, surplus)
     assert x0.tolist() == [0.9, 1.0, 0.3]
-    return [(fun, np.array(start), bounds) for start in FIT_SD_GRID]
+    return [(fun, jac, np.array(start), bounds) for start in FIT_SD_GRID]
 
 
 def fit_combined_problems():
     """(residuals, jacobian, start, bounds) of the joint fit of the bounded
     generator, one per switch candidate: the true month and two wrong ones."""
-    problems = []
-    solve = fitting.least_squares
-
-    def spy(fun, x0, bounds, jac=None):
-        problems.append((fun, jac, np.array(x0), bounds))
-        return solve(fun, x0, bounds, jac)
-
     food, markets = make_food(88, BOUNDED)
-    mp = pytest.MonkeyPatch()
-    mp.setattr(fitting, "least_squares", spy)
-    try:
-        fit_combined(food, markets, switch_candidates=[36, 40, 45])
-    finally:
-        mp.undo()
-    assert len(problems) == 3 and all(jac is not None for _, jac, _, _ in problems)
+    problems = spied_problems(fit_combined, food, markets,
+                              switch_candidates=[36, 40, 45])
+    assert len(problems) == 3
     return problems
 
 
@@ -69,86 +65,68 @@ def rosenbrock(v):
     return np.array([1 - v[0], 10 * (v[1] - v[0] ** 2)])
 
 
+def rosenbrock_jacobian(v):
+    return np.array([[-1.0, 0.0], [-20.0 * v[0], 10.0]])
+
+
 def optimum_past_bound(v):
     # unconstrained optimum (0.5, -2); the box holds x >= 1, y >= -1
     return np.array([v[0] - 0.5, v[1] + 2.0, 0.1 * v[0] * v[1]])
 
 
+def optimum_past_bound_jacobian(v):
+    return np.array([[1.0, 0.0], [0.0, 1.0], [0.1 * v[1], 0.1 * v[0]]])
+
+
+def edge(v):
+    # finite only for x <= 1, short of the optimum x = 2
+    return np.array([v[0] - 2.0, v[1]]) if v[0] <= 1.0 else np.array([np.nan] * 2)
+
+
 def cases():
     # the golden fit's own start, (lambda, beta_d, beta_s) = (0.9, 1, 0.3)
-    fun, x0, bounds = fit_sd_golden_problems()[FIT_SD_GRID.index((0.9, 1.0, 0.3))]
-    yield pytest.param(fun, x0, bounds, id="fit-sd-golden")
+    fun, jac, x0, bounds = fit_sd_golden_problems()[FIT_SD_GRID.index((0.9, 1.0, 0.3))]
+    yield pytest.param(fun, jac, x0, bounds, id="fit-sd-golden")
     box = (np.array([-2.0, -1.0]), np.array([0.5, 3.0]))
-    yield pytest.param(rosenbrock, np.array([-1.5, 2.0]), box, id="rosenbrock-box")
-    yield pytest.param(optimum_past_bound, np.array([2.0, 1.0]),
+    yield pytest.param(rosenbrock, rosenbrock_jacobian, np.array([-1.5, 2.0]), box,
+                       id="rosenbrock-box")
+    yield pytest.param(optimum_past_bound, optimum_past_bound_jacobian,
+                       np.array([2.0, 1.0]),
                        (np.array([1.0, -1.0]), np.array([3.0, 2.0])),
                        id="optimum-on-bound")
 
 
-@pytest.mark.parametrize("fun, x0, bounds", cases())
-def test_port_matches_scipy(fun, x0, bounds):
-    want = optimize.least_squares(fun, x0, bounds=bounds, method="trf")
-    got = fitting.least_squares(fun, x0, bounds)
+@pytest.mark.parametrize("fun, jac, x0, bounds", cases())
+def test_port_matches_scipy(fun, jac, x0, bounds):
+    want = optimize.least_squares(fun, x0, jac=jac, bounds=bounds, method="trf")
+    got = fitting.least_squares(fun, x0, bounds, jac)
     assert got.success == want.success
     np.testing.assert_allclose(got.x, want.x, rtol=1e-6, atol=0)
     assert got.fun @ got.fun == pytest.approx(want.fun @ want.fun, rel=1e-9, abs=0)
 
 
 def test_every_fit_sd_start_ends_at_scipy_objective():
-    # the valley is flat enough that x itself differs by up to ~3e-6 between
-    # the two from some starts; the objective and the stop agree
-    for fun, x0, bounds in fit_sd_golden_problems():
-        want = optimize.least_squares(fun, x0, bounds=bounds, method="trf")
-        got = fitting.least_squares(fun, x0, bounds)
+    for fun, jac, x0, bounds in fit_sd_golden_problems():
+        want = optimize.least_squares(fun, x0, jac=jac, bounds=bounds, method="trf")
+        got = fitting.least_squares(fun, x0, bounds, jac)
         assert got.success == want.success
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-6, atol=0)
         assert got.fun @ got.fun == pytest.approx(want.fun @ want.fun, rel=1e-9)
-
-
-def edge(v):
-    # finite only for x <= 1, so a difference step past it ends the solve
-    return np.array([v[0] - 2.0, v[1]]) if v[0] <= 1.0 else np.array([np.nan] * 2)
 
 
 def test_same_steps_as_scipy_given_its_svd(monkeypatch):
     """With scipy's SVD swapped in, the port retraces scipy's solve exactly:
-    the same residual calls in the same order, the same bits at the end."""
+    the same residual and Jacobian calls in the same order, the same bits at
+    the end."""
     from scipy import linalg
 
     monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: linalg.svd(
         a, full_matrices=full_matrices))
     problems = [p.values for p in cases()] + fit_sd_golden_problems()
-    problems.append((edge, np.array([0.0, 1.0]), ([-5.0, -5.0], [5.0, 5.0])))
-    for fun, x0, bounds in problems:
-        calls = {"scipy": [], "port": []}
-
-        def logged(name, fun=fun):
-            return lambda v: calls[name].append(v.copy()) or fun(v)
-
-        try:
-            want = optimize.least_squares(logged("scipy"), x0, bounds=bounds,
-                                          method="trf")
-        except ValueError as exc:
-            assert "infs or NaNs" in str(exc)
-            with pytest.raises(fitting.NonFiniteJacobian):
-                fitting.least_squares(logged("port"), x0, bounds)
-        else:
-            got = fitting.least_squares(logged("port"), x0, bounds)
-            assert got.success == want.success
-            assert np.array_equal(got.x, want.x)
-            assert np.array_equal(got.fun, want.fun)
-        assert len(calls["port"]) == len(calls["scipy"])
-        assert all(map(np.array_equal, calls["port"], calls["scipy"]))
-
-
-def test_exact_jacobian_steps_as_scipy_given_its_svd(monkeypatch):
-    """With the combined fit's exact Jacobian as scipy's ``jac=callable``
-    and scipy's SVD swapped in, the port makes the same residual and
-    Jacobian calls in the same order and ends on the same bits."""
-    from scipy import linalg
-
-    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: linalg.svd(
-        a, full_matrices=full_matrices))
-    for fun, jac, x0, bounds in fit_combined_problems():
+    problems.append((edge, lambda v: np.eye(2), np.array([0.0, 1.0]),
+                     ([-5.0, -5.0], [5.0, 5.0])))
+    problems += fit_combined_problems()
+    for fun, jac, x0, bounds in problems:
         calls = {"scipy": [], "port": []}
 
         def logged(name, f):
