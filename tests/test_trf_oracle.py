@@ -114,18 +114,14 @@ def test_every_fit_sd_start_ends_at_scipy_objective():
         assert got.fun @ got.fun == pytest.approx(want.fun @ want.fun, rel=1e-9)
 
 
-def test_same_steps_as_scipy_given_its_svd(monkeypatch):
-    """With scipy's SVD swapped in, the port retraces scipy's solve exactly:
-    the same residual and Jacobian calls in the same order, the same bits at
-    the end."""
+def retrace(monkeypatch, problems):
+    """With scipy's SVD swapped in, the port retraces scipy's solve of each
+    problem exactly: the same residual and Jacobian calls in the same order,
+    the same bits at the end."""
     from scipy import linalg
 
     monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: linalg.svd(
         a, full_matrices=full_matrices))
-    problems = [p.values for p in cases()] + fit_sd_golden_problems()
-    problems.append((edge, lambda v: np.eye(2), np.array([0.0, 1.0]),
-                     ([-5.0, -5.0], [5.0, 5.0])))
-    problems += fit_combined_problems()
     for fun, jac, x0, bounds in problems:
         calls = {"scipy": [], "port": []}
 
@@ -144,3 +140,16 @@ def test_same_steps_as_scipy_given_its_svd(monkeypatch):
         for (f_port, v_port), (f_scipy, v_scipy) in zip(calls["port"],
                                                         calls["scipy"]):
             assert f_port is f_scipy and np.array_equal(v_port, v_scipy)
+
+
+def test_same_steps_as_scipy_given_its_svd(monkeypatch):
+    problems = [p.values for p in cases()] + fit_sd_golden_problems()
+    problems.append((edge, lambda v: np.eye(2), np.array([0.0, 1.0]),
+                     ([-5.0, -5.0], [5.0, 5.0])))
+    retrace(monkeypatch, problems)
+
+
+def test_exact_jacobian_steps_as_scipy_given_its_svd(monkeypatch):
+    """The combined fit's own solves, one per switch candidate, retrace
+    scipy's with its exact Jacobian as ``jac=callable``."""
+    retrace(monkeypatch, fit_combined_problems())
