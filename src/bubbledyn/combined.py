@@ -85,35 +85,61 @@ def _path(v: np.ndarray, terms: tuple, p0: float, p1: float) -> list[float]:
     return _segments(const.tolist(), k_sd, k_sp, split, p0, p1)
 
 
-def _sensitivities(v: np.ndarray, terms: tuple, prices: np.ndarray,
-                   joint: bool) -> np.ndarray:
-    """The exact derivatives of P(2)..P(steps) by (k_sd, k_sp, k_1..k_N)
-    and, when ``joint``, by the trend's a and b, one column each, given the
-    prices P(0)..P(steps) at v.
+def _responses(k_sd: float, k_sp: float, split: int, updates: int,
+               from_start: Sequence[list[float]],
+               from_switch: Sequence[list[float]]) -> np.ndarray:
+    """The model's two-segment recurrence from zero initial prices over
+    ``updates`` updates, forced by each of ``from_start`` and then by each
+    of ``from_switch``, one column each.  A ``from_switch`` forcing covers
+    the updates from the switch on, and its column is 0 before it, so only
+    its second segment is stepped."""
+    rows = np.zeros((len(from_start) + len(from_switch), updates))
+    for row, f in zip(rows, from_start):
+        row[:] = _segments(f, k_sd, k_sp, split, 0.0, 0.0)
+    for row, f in zip(rows[len(from_start):], from_switch):
+        row[split:] = _segments(f, k_sd, k_sp, 0, 0.0, 0.0)
+    return rows.T
+
+
+def _basis(k_sd: float, k_sp: float, terms: tuple,
+           trend: Optional[tuple[float, float]], p0: float,
+           p1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The path P(2)..P(steps) at (k_sd, k_sp) as h + Phi L, affine in the
+    linear parameters L: the couplings k_1..k_N, after the trend's a and b
+    unless ``trend`` holds them fixed as (a, b).
+
+    h is the recurrence from p0 and p1 forced by a fixed trend (by nothing
+    when the trend is fitted), and each column of Phi the recurrence from
+    zero initial prices forced by what its parameter multiplies: k_sd for
+    a, k_sd t**2 + 2t + 1 for b, and each market's gated differences for
+    its coupling.
+    """
+    t2, lag, _, gated_diffs, split = terms
+    if trend is None:
+        forcing, columns = [0.0] * len(t2), [[k_sd] * len(t2),
+                                            (k_sd * t2 + lag).tolist()]
+    else:
+        a, b = trend
+        forcing, columns = ((a + b * t2) * k_sd + b * lag).tolist(), []
+    phi = _responses(k_sd, k_sp, split, len(t2), columns,
+                     gated_diffs[:, split:].tolist())
+    return np.array(_segments(forcing, k_sd, k_sp, split, p0, p1)), phi
+
+
+def _sensitivities(v: np.ndarray, terms: tuple, prices: np.ndarray) -> np.ndarray:
+    """The exact derivatives of P(2)..P(steps) by k_sd and by k_sp at v,
+    one column each, given the prices P(0)..P(steps) at v.
 
     Differentiating the recurrence gives each column the model's own
     two-segment recurrence from zero initial prices, forced at update t by
     the derivative of the update's other terms: (a + b t**2) - P(t) for
-    k_sd, gate (P(t) - P(t-1)) for k_sp, the gated market differences for
-    the couplings, k_sd for a and k_sd t**2 + 2t + 1 for b.  The columns of
-    k_sp and the couplings are 0 before the switch, so only their second
-    segment is stepped.
+    k_sd and gate (P(t) - P(t-1)) for k_sp.
     """
-    t2, lag, _, gated_diffs, split = terms
+    t2, _, _, _, split = terms
     k_sd, k_sp, a, b = float(v[0]), float(v[1]), float(v[-2]), float(v[-1])
-    from_start = [(a + b * t2 - prices[1:-1]).tolist()]
-    if joint:
-        from_start += [[k_sd] * len(t2), (k_sd * t2 + lag).tolist()]
-    from_switch = [np.diff(prices[split:-1]).tolist(),
-                   *gated_diffs[:, split:].tolist()]
-    # rows k_sd, k_sp, k_1..k_N, then a and b
-    rows = np.zeros((len(from_start) + len(from_switch), len(t2)))
-    late = slice(1, 1 + len(from_switch))
-    rows[[0, *range(late.stop, len(rows))]] = [
-        _segments(f, k_sd, k_sp, split, 0.0, 0.0) for f in from_start]
-    rows[late, split:] = [_segments(f, k_sd, k_sp, 0, 0.0, 0.0)
-                          for f in from_switch]
-    return rows.T
+    return _responses(k_sd, k_sp, split, len(t2),
+                      [(a + b * t2 - prices[1:-1]).tolist()],
+                      [np.diff(prices[split:-1]).tolist()])
 
 
 def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
@@ -149,9 +175,9 @@ class CombinedFit:
     path: TimeSeries
     switch_date: tuple[int, int]
     regime: RegimeClassification
-    #: The box ((a_lo, a_hi), (b_lo, b_hi)) of a jointly fitted trend; None
-    #: when the trend was given and held fixed.
-    trend_box: Optional[tuple[tuple[float, float], tuple[float, float]]]
+    #: "joint" when the trend was fitted with the model, "fixed" when it was
+    #: given and held fixed.
+    trend_mode: str
 
     def to_dict(self) -> dict:
         return {
@@ -160,10 +186,7 @@ class CombinedFit:
             "couplings": list(self.params.couplings),
             "trend_a": self.params.trend_a,
             "trend_b": self.params.trend_b,
-            "trend_mode": "fixed" if self.trend_box is None else "joint",
-            "trend_box": (None if self.trend_box is None else
-                          {"a": list(self.trend_box[0]),
-                           "b": list(self.trend_box[1])}),
+            "trend_mode": self.trend_mode,
             "switch_index": self.params.switch_index,
             "switch_date": format_date(self.switch_date, Frequency.MONTHLY),
             "sse": self.sse,
@@ -177,14 +200,13 @@ class CombinedFit:
 
 def _linear_seed(food: np.ndarray, terms: tuple,
                  trend: Optional[QuadraticTrend]) -> Optional[np.ndarray]:
-    """One-step-ahead regression estimate of (k_sd, k_sp, k_1..k_N, a, b),
-    or of (k_sd, k_sp, k_1..k_N) when the trend is given.
+    """One-step-ahead regression estimate of (k_sd, k_sp), or None where
+    the regression has non-finite terms or no solution.
 
     Evaluated on the observed path the recurrence is linear in the
     parameters once its trend forcing is written c0 + c1*t**2 + c2(2t+1),
-    with c0 = a*k_sd and c2 = b, so ordinary least squares on the one-step
-    differences recovers them exactly for noiseless data and gives a strong
-    start otherwise.
+    so ordinary least squares on the one-step differences recovers them
+    exactly for noiseless data and gives a strong start otherwise.
     """
     t2, lag, gate, gated_diffs, _ = terms
     prev, cur = food[:-2], food[1:-1]
@@ -203,26 +225,13 @@ def _linear_seed(food: np.ndarray, terms: tuple,
         coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     except np.linalg.LinAlgError:
         return None
-    if trend is None:
-        c0, _, c2 = coef[-3:]
-        coef = np.append(coef[:-3], (c0 / coef[0], c2))
-    if not np.all(np.isfinite(coef)):
-        return None
-    return coef
+    return coef[:2] if np.all(np.isfinite(coef[:2])) else None
 
 
-def _trend_box(food: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Bounds of a and b for the joint fit: a within 10 max|food| and b
-    within 10 max|food| / n**2, so neither the intercept nor the rise
-    b*n**2 of the trend can leave ten times the data's scale."""
-    top = float(np.max(np.abs(food)))
-    scale = 10.0 * top
-    if scale == 0.0:
-        raise DegenerateInputError("constant observed series")
-    if not np.isfinite(scale):
-        raise FitError(f"no finite trend box for food values up to {top:g}")
-    b_max = scale / len(food) ** 2
-    return (-scale, scale), (-b_max, b_max)
+#: The box of (k_sd, k_sp), and the start where the one-step regression
+#: gives no seed inside it.
+BOX = ((1e-4, 1.5), (0.0, 3.0))
+FALLBACK = (0.2, 1.3)
 
 
 def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
@@ -232,13 +241,20 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     given, of the trend's a and b, with the switch month selected over
     ``switch_candidates`` by best objective.
 
-    Initial conditions come from the first two food observations.  Each
-    candidate is one bounded polish from the one-step regression of
-    :func:`_linear_seed`, with the exact Jacobian of :func:`_sensitivities`.
-    A given ``trend`` is held fixed: the paper's two-stage fit, with the
-    trend fitted upstream outside the bubble windows.  The report is the
-    winning candidate's, except that ``evaluations`` sums the residual calls
-    of every candidate.
+    Initial conditions come from the first two food observations.  For
+    fixed (k_sd, k_sp) the path is affine in a, b and the couplings
+    (:func:`_basis`), so each candidate month is one bounded solve over
+    (k_sd, k_sp) alone, by variable projection (Golub & Pereyra 1973): the
+    residual is the part of the data minus h that Phi's column space does
+    not hold, scaled by max|food|, the linear parameters are Phi's
+    minimum-norm least-squares solution, and the Jacobian is Kaufman's
+    (1975), the projected sensitivities of :func:`_sensitivities`.  The
+    solve starts from the one-step regression of :func:`_linear_seed`.  A
+    given ``trend`` is held fixed: the paper's two-stage fit, with the trend
+    fitted upstream outside the bubble windows.  The report is the winning
+    candidate's, except that ``evaluations`` sums the residual calls of
+    every candidate and ``objective_value`` is the sum of squares of the
+    reported path.
     """
     if not switch_candidates:
         raise ValueError("switch_candidates must be non-empty")
@@ -247,21 +263,12 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     fv = food.to_array()
     steps = len(fv) - 1
     arrays = _market_arrays(markets, food.start, food.frequency, steps + 1)
-    p0, p1 = float(fv[0]), float(fv[1])
-    n_markets = len(markets)
-    bounds = ([(1e-4, 1.5), (0.0, 3.0)]
-              + [(-1000.0, 100.0)] * n_markets)
-    # the start where the one-step regression is singular or leaves the box
-    fallback = [0.2, 1.3] + [-1.0] * n_markets
-    trend_box, fixed = None, ()
-    if trend is None:
-        trend_box = _trend_box(fv)
-        bounds += trend_box
-        fallback += [p0, 0.0]
-    else:
-        fixed = (trend.a, trend.b)
-    lo, hi = np.array(bounds).T
-    fallback = np.array(fallback)
+    p0, p1, observed = float(fv[0]), float(fv[1]), fv[2:]
+    scale = float(np.max(np.abs(fv)))
+    if scale == 0.0:
+        raise DegenerateInputError("constant observed series")
+    fixed = None if trend is None else (trend.a, trend.b)
+    lo, hi = np.array(BOX).T
 
     best = None
     evaluations = 0
@@ -273,41 +280,64 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
         # a seed coordinate outside the box takes the fallback's: clipped to
         # the bound, it would start the reflective steps there, and they
         # crawl away from a bound (a wrong switch month often gives k_sd < 0)
-        start = (fallback if seed is None else
-                 np.where((lo <= seed) & (seed <= hi), seed, fallback))
+        start = (np.array(FALLBACK) if seed is None else
+                 np.where((lo <= seed) & (seed <= hi), seed, FALLBACK))
 
-        # the point of the last residual call and its prices P(0)..P(steps),
-        # where the solver asks for the Jacobian next
-        last = {"v": None}
+        # the projection at the (k_sd, k_sp) of the last residual call, where
+        # the solver asks for the Jacobian next
+        last = {"at": None}
 
-        def residuals(v: np.ndarray, terms=terms, last=last) -> np.ndarray:
-            path = _path(np.append(v, fixed), terms, p0, p1)
-            last.update(v=v.copy(), prices=np.array([p0, p1, *path]))
-            return fv[2:] - last["prices"][2:]
+        def residuals(theta: np.ndarray, terms=terms, last=last) -> np.ndarray:
+            h, phi = _basis(*theta.tolist(), terms, fixed, p0, p1)
+            gap = observed - h
+            last.update(at=tuple(theta.tolist()), path=None)
+            # LAPACK fails, or stalls, on non-finite entries
+            if not (np.isfinite(gap).all() and np.isfinite(phi).all()):
+                return np.full_like(gap, np.nan)
+            u, s, vt = np.linalg.svd(phi, full_matrices=False)
+            # numpy's matrix_rank cut; s is in descending order
+            rank = np.count_nonzero(s > max(phi.shape) * fitting.EPS * s[:1].sum())
+            u = u[:, :rank]
+            coef = u.T @ gap
+            fitted = u @ coef
+            last.update(u=u, lin=vt[:rank].T @ (coef / s[:rank]),
+                        path=h + fitted)
+            return (gap - fitted) / scale
 
-        def jacobian(v: np.ndarray, terms=terms, last=last) -> np.ndarray:
-            if not np.array_equal(v, last["v"]):
-                residuals(v)
-            return -_sensitivities(np.append(v, fixed), terms, last["prices"],
-                                   trend is None)
+        def jacobian(theta: np.ndarray, terms=terms, last=last) -> np.ndarray:
+            if tuple(theta.tolist()) != last["at"]:
+                residuals(theta)
+            if last["path"] is None:
+                return np.full((len(observed), 2), np.nan)
+            trend_ab = last["lin"][:2] if fixed is None else fixed
+            sens = _sensitivities(np.append(theta, trend_ab), terms,
+                                  np.concatenate(([p0, p1], last["path"])))
+            u = last["u"]
+            return (u @ (u.T @ sens) - sens) / scale
 
-        report = fitting.minimize(residuals, start, bounds, jacobian)
+        report = fitting.minimize(residuals, start, BOX, jacobian)
         evaluations += report.evaluations
         if best is None or report.objective_value < best[1].objective_value:
-            best = (switch, report)
+            best = (switch, report, residuals, last)
 
-    switch, report = best
-    report = replace(report, evaluations=evaluations)
-    v = report.parameter_vector
-    trend_a, trend_b = v[-2:] if trend is None else fixed
-    params = CombinedParams(k_sd=v[0], k_sp=v[1],
-                            couplings=tuple(v[2:2 + n_markets]),
+    switch, report, residuals, last = best
+    # the linear parameters at the winning (k_sd, k_sp)
+    residuals(np.array(report.parameter_vector))
+    lin = last["lin"].tolist()
+    (trend_a, trend_b), couplings = ((lin[:2], lin[2:]) if fixed is None
+                                     else (fixed, lin))
+    params = CombinedParams(*report.parameter_vector, couplings=tuple(couplings),
                             trend_a=trend_a, trend_b=trend_b,
                             switch_index=switch)
     path = replace(simulate_combined(params, markets, p0, p1, steps, food.start),
                    label="fitted price")
-    return CombinedFit(params=params, report=report, sse=report.objective_value,
-                       r2=fitting.r_squared(food, path), path=path,
+    sse = float(np.sum((fv - path.to_array()) ** 2))
+    if not np.isfinite(sse):
+        raise FitError("the sum of squares at the fitted point overflows")
+    return CombinedFit(params=params,
+                       report=replace(report, evaluations=evaluations,
+                                      objective_value=sse),
+                       sse=sse, r2=fitting.r_squared(food, path), path=path,
                        switch_date=food.date_at(switch),
                        regime=classify(params.k_sd, params.k_sp),
-                       trend_box=trend_box)
+                       trend_mode="joint" if fixed is None else "fixed")

@@ -1,14 +1,15 @@
 """Shared bounded least-squares fitting and regression utilities.
 
-Both fitted models minimise a sum of squared residuals over a box in 3-5
-dimensions.  A :func:`minimize` call runs one trust-region-reflective solve
-(Branch, Coleman & Li 1999), which keeps every iterate inside the box, so no
-bound penalty is needed.  Points where the model is undefined return non-finite
+Both fitted models minimise a sum of squared residuals over a box, in 3
+dimensions for the supply/demand fit and in 2 for the combined fit.  A
+:func:`minimize` call runs one trust-region-reflective solve (Branch, Coleman
+& Li 1999), which keeps every iterate inside the box, so no bound penalty is
+needed.  Points where the model is undefined return non-finite
 residuals, on which the solver shrinks its step.
 
 :func:`least_squares` is a numpy port of the path of
 ``scipy.optimize.least_squares(method="trf")`` that these fits take: finite
-bounds, the caller's exact dense Jacobian (scipy's ``jac=callable``), the
+bounds, the caller's dense Jacobian (scipy's ``jac=callable``), the
 exact trust-region subproblem through one SVD (Moré 1978), linear loss, unit
 variable scaling, tolerances of 1e-8 and 100 evaluations per variable.  It
 follows scipy's ``optimize/_lsq/trf.py`` and ``optimize/_lsq/common.py`` step
@@ -22,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.linalg import norm
 
 from .errors import DegenerateInputError, FitError
 from .timeseries import TimeSeries, align, record
@@ -41,9 +41,16 @@ class LeastSquaresResult:
     success: bool
 
 
+def _norm(x):
+    """The 2-norm of a vector, as ``numpy.linalg.norm`` computes it."""
+    return np.sqrt(x.dot(x))
+
+
 def _strictly_feasible(x, lo, hi, rstep):
     """Moves points within ``rstep`` (relative) of a bound that far inside
     it; with ``rstep`` 0, points on a bound one ulp inside."""
+    if rstep == 0 and ((lo < x) & (x < hi)).all():
+        return x
     gap_lo, gap_hi = rstep * np.maximum(1, np.abs(lo)), rstep * np.maximum(1, np.abs(hi))
     at_lo = x - lo <= np.minimum(hi - x, gap_lo)
     at_hi = hi - x <= np.minimum(x - lo, gap_hi)
@@ -105,16 +112,16 @@ def _trust_region_step(uf, s, V, Delta, alpha, m):
 
     def phi(alpha):  # |p(alpha)| - Delta and its derivative
         denom = s ** 2 + alpha
-        p_norm = norm(suf / denom)
+        p_norm = _norm(suf / denom)
         return p_norm - Delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
 
     full_rank = m >= len(s) and s[-1] > EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
-        if norm(p) <= Delta:
+        if _norm(p) <= Delta:
             return p, 0.0
         value, slope = phi(0.0)
-    upper, lower = norm(suf) / Delta, -value / slope if full_rank else 0.0
+    upper, lower = _norm(suf) / Delta, -value / slope if full_rank else 0.0
     if not full_rank and alpha == 0:
         alpha = max(0.001 * upper, (lower * upper) ** 0.5)
     for _ in range(10):
@@ -129,7 +136,7 @@ def _trust_region_step(uf, s, V, Delta, alpha, m):
         if np.abs(value) < 0.01 * Delta:
             break
     p = -V.dot(suf / (s ** 2 + alpha))
-    return p * (Delta / norm(p)), alpha
+    return p * (Delta / _norm(p)), alpha
 
 
 def _select_step(x, J_h, diag_h, g_h, p_h, d, Delta, lo, hi, theta):
@@ -159,7 +166,7 @@ def _select_step(x, J_h, diag_h, g_h, p_h, d, Delta, lo, hi, theta):
         r_h = p_h + r_h * r_stride
     p, p_h = p * theta, p_h * theta
     p_value = _q(J_h, g_h, p_h, diag_h)
-    to_tr = Delta / norm(g_h)
+    to_tr = Delta / _norm(g_h)
     to_bound = _to_bound(x, -d * g_h, lo, hi)[0]
     ag_stride = theta * to_bound if to_bound < to_tr else to_tr
     ag_stride, ag_value = _min_along(J_h, g_h, -g_h, diag_h, 0, ag_stride)
@@ -190,18 +197,23 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
     J = jac(x)
     m, n = J.shape
     cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
-    Delta = norm(x / _coleman_li(x, g, lo, hi)[0] ** 0.5) or 1.0
+    Delta = _norm(x / _coleman_li(x, g, lo, hi)[0] ** 0.5) or 1.0
     alpha, converged, nfev, x_new, f_new = 0.0, False, 1, x, f
+    # the scaled Jacobian stacked on diag(diag_h ** 0.5), filled in place;
+    # the zeros off that diagonal are set once
+    J_aug = np.zeros((m + n, n))
+    diagonal = (np.arange(m, m + n), np.arange(n))
     while True:
         v, dv = _coleman_li(x, g, lo, hi)
-        g_norm = norm(g * v, ord=np.inf)
+        g_norm = np.abs(g * v).max()
         converged = converged or g_norm < TOL
         if converged or nfev == 100 * n:
             break
         # the problem in Coleman and Li's scaled ("hat") variables
         d, diag_h = v ** 0.5, g * dv
-        J_aug = np.vstack([J * d, np.diag(diag_h ** 0.5)])
-        if not np.all(np.isfinite(J_aug)):
+        np.multiply(J, d, out=J_aug[:m])
+        J_aug[diagonal] = diag_h ** 0.5
+        if not np.isfinite(J_aug).all():
             raise FitError("the solve met a non-finite Jacobian")
         U, s, Vt = np.linalg.svd(J_aug, full_matrices=False)
         uf = U.T.dot(np.concatenate([f, np.zeros(n)]))
@@ -213,8 +225,8 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
                                                    p_h, d, Delta, lo, hi, theta)
             trial = _strictly_feasible(x + step, lo, hi, 0)
             # an unmoved trial point reuses its residuals, as scipy's cache does
-            f_new = f_new if np.array_equal(trial, x_new) else fun(trial)
-            x_new, nfev, step_h_norm = trial, nfev + 1, norm(step_h)
+            f_new = f_new if (trial == x_new).all() else fun(trial)
+            x_new, nfev, step_h_norm = trial, nfev + 1, _norm(step_h)
             if not np.all(np.isfinite(f_new)):
                 Delta = 0.25 * step_h_norm
                 continue
@@ -230,7 +242,7 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
             elif ratio > 0.75 and step_h_norm > 0.95 * Delta:
                 Delta_new = 2.0 * Delta
             if (reduction < TOL * cost and ratio > 0.25
-                    or norm(step) < TOL * (TOL + norm(x))):
+                    or _norm(step) < TOL * (TOL + _norm(x))):
                 converged = True
                 break
             alpha *= Delta / Delta_new
@@ -258,8 +270,10 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
              jacobian: Callable[[np.ndarray], np.ndarray]) -> FitReport:
     """Bounded least squares from ``start``; returns the terminal point.
 
-    ``jacobian`` returns the exact Jacobian of ``residuals`` as a float
-    array, one row per residual and one column per parameter.
+    ``jacobian`` returns the Jacobian of ``residuals`` as a float array,
+    one row per residual and one column per parameter: the exact one for
+    the supply/demand fit, Kaufman's for the combined fit's projected
+    residuals.
     ``objective_value`` is the sum of squared residuals at the terminal
     point, ``converged`` the solve's success flag, and ``evaluations`` the
     calls of ``residuals``, the start check included; calls of ``jacobian``

@@ -246,7 +246,7 @@ class TestFitCombinedCommand:
         report = json.loads(out)
         trend = quadratic_fit(food, [Window(36, 60), Window(77, 88)])
         assert report["trend_mode"] == "fixed"
-        assert report["trend_box"] is None
+        assert "trend_box" not in report
         assert (report["trend_a"], report["trend_b"]) == (trend.a, trend.b)
 
     def test_output_bytes(self, capsys, tmp_path):
@@ -268,7 +268,27 @@ class TestFitCombinedCommand:
         assert report["switch_date"] == "2007-05"
         assert report["sse"] <= 17069683.100586947 * (1 + 1e-9)
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "2a7105a3db635f62a09396343e9109ad41f3267ba040f779f82b0b029ebee4c7"
+            "7476daf03091c4988669053243bd8ef5a1fb8441a5eecaebe9bfda9abf811318"
+
+    def test_rank_deficient_basis(self, capsys, tmp_path):
+        """39 months end at 2007-03, so the 2007 search tries its last 3
+        months, where the gated market differences are few or none, and a
+        constant market adds a zero column: the fit exits 0 and gives that
+        market no coupling."""
+        from test_combined import BOUNDED, make_food
+
+        food, markets = make_food(88, BOUNDED)
+        write_series_csv(tmp_path / "food.csv", food.values[:39])
+        write_series_csv(tmp_path / "equity.csv", markets[0].values[:39])
+        write_series_csv(tmp_path / "flat.csv", [2.5] * 39)
+        code, out, err = run(
+            capsys, "fit-combined", "--food", str(tmp_path / "food.csv"),
+            "--market", str(tmp_path / "equity.csv"),
+            "--market", str(tmp_path / "flat.csv"))
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        assert report["switch_date"] in ("2007-01", "2007-02", "2007-03")
+        assert report["couplings"][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit-combined", "--food",

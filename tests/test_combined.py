@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bubbledyn import (AlignmentError, CombinedParams, DegenerateInputError,
-                       FitError, Frequency, QuadraticTrend, Regime, Window,
+                       Frequency, QuadraticTrend, Regime, Window,
                        combined, fit_combined, fitting, quadratic_fit,
                        simulate_combined)
 
@@ -152,6 +152,17 @@ def per_step_path(v, terms, p0, p1):
     return path
 
 
+def rounding(v, terms, scale):
+    """The rounding of a path of magnitude ``scale`` at v: up to one ulp per
+    update, each carried forward as the model carries a unit impulse from
+    the start or from the switch."""
+    k_sd, k_sp, split, updates = v[0], v[1], terms[-1], N_MONTHS - 2
+    impulses = (combined._segments([0.0] * updates, k_sd, k_sp, split, 0.0, 1.0)
+                + combined._segments([0.0] * (updates - split), k_sd, k_sp,
+                                     0, 0.0, 1.0))
+    return updates * np.finfo(float).eps * max(1.0, *map(abs, impulses)) * scale
+
+
 @st.composite
 def model_points(draw):
     """(v, terms, p0, p1) of a random model over 0-2 markets, switched on at
@@ -173,23 +184,14 @@ class TestExactJacobian:
         assert combined._path(*point) == per_step_path(*point)
 
     @settings(max_examples=60, deadline=None)
-    @given(model_points(), st.booleans())
-    def test_matches_central_differences(self, point, joint):
+    @given(model_points())
+    def test_matches_central_differences(self, point):
         v, terms, p0, p1 = point
         prices = np.array([p0, p1, *combined._path(v, terms, p0, p1)])
-        got = combined._sensitivities(v, terms, prices, joint)
-        fitted = len(v) if joint else len(v) - 2
-        assert got.shape == (N_MONTHS - 2, fitted)
-        # the differences' rounding: up to one ulp of the path per update,
-        # each carried forward as the model carries a unit impulse from the
-        # start or from the switch
-        k_sd, k_sp, split, updates = v[0], v[1], terms[-1], N_MONTHS - 2
-        impulses = (combined._segments([0.0] * updates, k_sd, k_sp, split, 0.0, 1.0)
-                    + combined._segments([0.0] * (updates - split), k_sd, k_sp,
-                                         0, 0.0, 1.0))
-        noise = (updates * np.finfo(float).eps * max(1.0, *map(abs, impulses))
-                 * np.max(np.abs(prices)))
-        for i in range(fitted):
+        got = combined._sensitivities(v, terms, prices)
+        assert got.shape == (N_MONTHS - 2, 2)
+        noise = rounding(v, terms, np.max(np.abs(prices)))
+        for i in range(2):
             h = 1e-6 * max(1.0, abs(v[i]))
             up, down = v.copy(), v.copy()
             up[i] += h
@@ -201,8 +203,26 @@ class TestExactJacobian:
             gap = np.max(np.abs(got[:, i] - want))
             assert gap <= 1e-6 * np.max(np.abs(want)) + noise / h, i
 
-    def test_fit_hands_the_solver_the_exact_jacobian(self, monkeypatch):
-        jacobians = []
+    @settings(max_examples=60, deadline=None)
+    @given(model_points(), st.booleans())
+    def test_path_is_affine_in_the_basis(self, point, joint):
+        """h + Phi L, with L the trend and couplings of v, is the path."""
+        v, terms, p0, p1 = point
+        trend = None if joint else (v[-2], v[-1])
+        h, phi = combined._basis(v[0], v[1], terms, trend, p0, p1)
+        linear = np.concatenate((v[-2:], v[2:-2])) if joint else v[2:-2]
+        assert phi.shape == (N_MONTHS - 2, len(linear))
+        want = np.array(combined._path(v, terms, p0, p1))
+        got = h + phi @ linear
+        # the path and each term of the sum round on their own
+        scale = np.max(np.abs(np.column_stack((want, h, phi * linear))))
+        assert (np.max(np.abs(got - want))
+                <= (2 + len(linear)) * rounding(v, terms, scale))
+
+    def test_kaufman_jacobian_gives_the_exact_gradient(self, monkeypatch):
+        """J'r is the central-difference gradient of |r|**2 / 2 over
+        (k_sd, k_sp): the term Kaufman's Jacobian drops is orthogonal to r."""
+        problems = []
         real = fitting.minimize
 
         def spy(residuals, start, bounds, jacobian):
@@ -214,18 +234,49 @@ class TestExactJacobian:
             assert np.array_equal(jacobian(start), first)
             residuals(start)
             assert np.array_equal(jacobian(start), first)
-            jacobians.append(first)
+            problems.append((residuals, jacobian))
             return real(residuals, start, bounds, jacobian)
 
         monkeypatch.setattr(fitting, "minimize", spy)
-        food, markets = make_food(60)
-        trend = QuadraticTrend(a=TRUTH["trend_a"], b=TRUTH["trend_b"],
+        food, markets = make_food(60, BOUNDED)
+        noisy = food.with_values(food.to_array() + np.random.default_rng(3)
+                                 .normal(0.0, 1.0, len(food)))
+        trend = QuadraticTrend(a=BOUNDED["trend_a"], b=BOUNDED["trend_b"],
                                r_squared=1.0)
+        fit_combined(noisy, markets, switch_candidates=[40])
+        fit_combined(noisy, markets, trend, switch_candidates=[40])
         fit_combined(food, markets, switch_candidates=[40])
-        fit_combined(food, markets, trend, switch_candidates=[40])
-        # residuals are data minus model: one row per month from the third,
-        # and the trend's columns only in the joint fit
-        assert [j.shape for j in jacobians] == [(58, 6), (58, 4)]
+        assert len(problems) == 3
+
+        def half_square(residuals, theta):
+            r = residuals(np.array(theta))
+            return 0.5 * r @ r
+
+        for residuals, jacobian in problems[:2]:
+            for theta in ((0.3, 0.6), (0.2, 1.3), (0.7, 0.9)):
+                # residuals are data minus model: one row per month from the
+                # third, and one column per fitted (k_sd, k_sp)
+                jac = jacobian(np.array(theta))
+                assert jac.shape == (58, 2)
+                gradient = jac.T @ residuals(np.array(theta))
+                for i, h in enumerate((1e-6, 1e-6)):
+                    up, down = list(theta), list(theta)
+                    up[i] += h
+                    down[i] -= h
+                    want = (half_square(residuals, up)
+                            - half_square(residuals, down)) / (2 * h)
+                    assert gradient[i] == pytest.approx(want, rel=1e-5,
+                                                        abs=1e-12)
+        # where the residuals vanish, so does the dropped term: at the
+        # noiseless problem's truth, J is the projected residual's Jacobian
+        residuals, jacobian = problems[2]
+        truth = np.array([BOUNDED["k_sd"], BOUNDED["k_sp"]])
+        jac = jacobian(truth)
+        for i in range(2):
+            step = np.zeros(2)
+            step[i] = 1e-6
+            want = (residuals(truth + step) - residuals(truth - step)) / 2e-6
+            assert np.max(np.abs(jac[:, i] - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 class TestFitCombined:
@@ -251,15 +302,62 @@ class TestFitCombined:
         for name in ("k_sd", "k_sp", "trend_a", "trend_b"):
             assert getattr(fit.params, name) == pytest.approx(TRUTH[name],
                                                               rel=1e-8)
-        scale = 10.0 * np.max(np.abs(food.to_array()))
-        assert fit.trend_box == ((-scale, scale), (-scale / 88**2, scale / 88**2))
         assert fit.to_dict()["trend_mode"] == "joint"
+        assert "trend_box" not in fit.to_dict()
 
-    def test_trend_box_needs_a_finite_nonzero_scale(self):
-        with pytest.raises(FitError, match="no finite trend box"):
-            combined._trend_box(np.array([105.0, 1e308, 106.0]))
+    def test_zero_food_is_degenerate(self):
+        # the residuals are scaled by max|food|
+        _, markets = make_food(60)
         with pytest.raises(DegenerateInputError, match="constant"):
-            combined._trend_box(np.zeros(5))
+            fit_combined(monthly(np.zeros(60)), markets, switch_candidates=[40])
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    # residuals not scaled by max|food| stop on the solver's absolute
+    # gradient test here, at another month
+    @example(1e-6, 1.0, 1.0)
+    def test_fit_is_equivariant_in_units(self, c, d_equity, d_bonds):
+        """Food in other units scales a and b with it, a market in other
+        units scales its coupling inversely, and k_sd, k_sp and the switch
+        month stay as they are."""
+        food, markets = make_food(88, BOUNDED)
+        noisy = food.to_array() + np.random.default_rng(1).normal(0.0, 1.0, 88)
+        months = range(36, 48)
+        base = fit_combined(food.with_values(noisy), markets,
+                            switch_candidates=months).params
+        scaled = fit_combined(
+            food.with_values(c * noisy),
+            [m.with_values(d * m.to_array())
+             for m, d in zip(markets, (d_equity, d_bonds))],
+            switch_candidates=months).params
+        assert scaled.switch_index == base.switch_index
+        for name, factor in (("k_sd", 1.0), ("k_sp", 1.0), ("trend_a", c),
+                             ("trend_b", c)):
+            assert getattr(scaled, name) == pytest.approx(
+                factor * getattr(base, name), rel=1e-8), name
+        for got, want, d in zip(scaled.couplings, base.couplings,
+                                (d_equity, d_bonds)):
+            assert got == pytest.approx(want * c / d, rel=1e-8)
+
+    def test_every_month_converges_on_a_noisy_damped_path(self, monkeypatch):
+        """Months 2-85 of the 88-month bounded generator at noise sd 1:
+        each month's solve converges, and the fit keeps its month, 39."""
+        converged = []
+        real = fitting.minimize
+
+        def spy(*args):
+            report = real(*args)
+            converged.append(report.converged)
+            return report
+
+        monkeypatch.setattr(fitting, "minimize", spy)
+        food, markets = make_food(88, BOUNDED)
+        noisy = food.with_values(food.to_array()
+                                 + np.random.default_rng(1).normal(0.0, 1.0, 88))
+        fit = fit_combined(noisy, markets, switch_candidates=range(2, 86))
+        assert converged == [True] * 84
+        assert fit.params.switch_index == 39
+        assert fit.report.converged
 
     def test_fallback_start_recovers_truth(self, monkeypatch):
         # the start used where the one-step regression gives no seed

@@ -385,8 +385,8 @@ def _records():
         (CombinedParams, vars(params), {"couplings": ()}, {"switch_index": 0}, {}),
         (CombinedFit, {"params": params, "report": report, "sse": 0.5, "r2": 0.9,
                        "path": series, "switch_date": (2007, 5), "regime": regime,
-                       "trend_box": None},
-         {"trend_box": ((-1.0, 1.0), (-1.0, 1.0))}, None, {}),
+                       "trend_mode": "fixed"},
+         {"trend_mode": "joint"}, None, {}),
     ]
     return [pytest.param(*case, id=case[0].__name__) for case in cases]
 
