@@ -252,8 +252,8 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     solve starts from the one-step regression of :func:`_linear_seed`.  A
     given ``trend`` is held fixed: the paper's two-stage fit, with the trend
     fitted upstream outside the bubble windows.  The report is the winning
-    candidate's, except that ``evaluations`` sums the residual calls of
-    every candidate and ``objective_value`` is the sum of squares of the
+    candidate's, except that ``evaluations`` sums the solver's ``nfev``
+    over every candidate and ``objective_value`` is the sum of squares of the
     reported path.
     """
     if not switch_candidates:

@@ -34,11 +34,13 @@ TOL = 1e-8
 
 @record
 class LeastSquaresResult:
-    """Terminal point of one solve; ``success`` is False at the evaluation cap."""
+    """Terminal point of one solve; ``success`` is False at the evaluation
+    cap, and ``nfev`` counts the evaluations, the start's included."""
 
     x: np.ndarray
     fun: np.ndarray
     success: bool
+    nfev: int
 
 
 def _norm(x):
@@ -181,19 +183,23 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
     """Minimise ``|fun(x)|^2 / 2`` over the box ``bounds = (lo, hi)`` from
     ``x0`` by the trust-region-reflective method.
 
-    ``fun`` returns a 1-D float array, and ``x0`` lies in the box, whose
-    bounds are finite with lo < hi (:func:`minimize` checks both).  ``jac``
-    returns the Jacobian of ``fun`` at x as an (m, n) float array; it is
-    called at the start and at each accepted point, as scipy's
-    ``jac=callable`` is.  Stops as scipy does: on a scaled gradient below
+    ``fun`` returns the residuals as a 1-D float sequence, and ``x0`` lies
+    in the box, whose bounds are finite with lo < hi (:func:`minimize`
+    checks both).  ``jac`` returns the Jacobian of ``fun`` at x as an
+    (m, n) float array, called at the start and at each accepted point but
+    one where a cost or step tolerance stop ends the solve (a gradient stop
+    needs it there).  Stops as scipy does: on a scaled gradient below
     :data:`TOL`, on a relative cost change or step below it, or,
-    unsuccessfully, after 100 evaluations per variable.  Raises
-    :class:`FitError` where the scaled Jacobian or gradient at an accepted
-    point is not finite.
+    unsuccessfully, after 100 evaluations per variable, which ``nfev``
+    counts as scipy does.  Raises :class:`FitError` where the start's
+    residuals, or the scaled Jacobian or gradient at an accepted point,
+    are not finite.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     x = _strictly_feasible(np.asarray(x0, dtype=float), lo, hi, 1e-10)
-    f = fun(x)
+    f = np.asarray(fun(x), dtype=float)
+    if not np.isfinite(f).all():
+        raise FitError("the residuals at the start are not finite")
     J = jac(x)
     m, n = J.shape
     cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
@@ -225,7 +231,7 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
                                                    p_h, d, Delta, lo, hi, theta)
             trial = _strictly_feasible(x + step, lo, hi, 0)
             # an unmoved trial point reuses its residuals, as scipy's cache does
-            f_new = f_new if (trial == x_new).all() else fun(trial)
+            f_new = f_new if (trial == x_new).all() else np.asarray(fun(trial), float)
             x_new, nfev, step_h_norm = trial, nfev + 1, _norm(step_h)
             if not np.all(np.isfinite(f_new)):
                 Delta = 0.25 * step_h_norm
@@ -249,9 +255,11 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
             Delta = Delta_new
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
+            if converged:
+                break
             J = jac(x)
             g = J.T.dot(f)
-    return LeastSquaresResult(x=x, fun=f, success=converged)
+    return LeastSquaresResult(x=x, fun=f, success=converged, nfev=nfev)
 
 
 @record
@@ -273,11 +281,12 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
     ``jacobian`` returns the Jacobian of ``residuals`` as a float array,
     one row per residual and one column per parameter: the exact one for
     the supply/demand fit, Kaufman's for the combined fit's projected
-    residuals.
+    residuals.  :func:`least_squares` checks the start and calls
+    ``jacobian`` at the start and at each accepted point but one where a
+    cost or step tolerance stop ends the solve.
     ``objective_value`` is the sum of squared residuals at the terminal
     point, ``converged`` the solve's success flag, and ``evaluations`` the
-    calls of ``residuals``, the start check included; calls of ``jacobian``
-    are not counted.
+    solve's ``nfev``; calls of ``jacobian`` are not counted.
     Deterministic given identical inputs.  Raises :class:`FitError` that
     names the cause when the start's residuals are not finite, the solve
     meets a non-finite Jacobian, or it ends at a sum of squares that
@@ -291,23 +300,13 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray],
         raise ValueError("start dimensionality does not match bounds")
     if not np.all((lo <= start) & (start <= hi)):
         raise ValueError("start lies outside the bounds")
-
-    evaluations = 0
-
-    def counted(x: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 1
-        return np.asarray(residuals(x), dtype=float)
-
-    if not np.all(np.isfinite(counted(start))):
-        raise FitError("the residuals at the start are not finite")
-    res = least_squares(counted, start, bounds=(lo, hi), jac=jacobian)
+    res = least_squares(residuals, start, bounds=(lo, hi), jac=jacobian)
     sse = float(res.fun @ res.fun)
     if not np.isfinite(sse):
         raise FitError("the sum of squares at the fitted point overflows")
     return FitReport(parameter_vector=tuple(float(v) for v in res.x),
                      objective_value=sse,
-                     evaluations=evaluations,
+                     evaluations=res.nfev,
                      converged=bool(res.success))
 
 

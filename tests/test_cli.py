@@ -166,7 +166,7 @@ class TestFitCommands:
         # the exact Jacobian takes no residual calls of its own
         assert report["evaluations"] <= 10
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "d9fb519cda3d896ca06059702e7a6bad9b4d2464c2454a57c0e84a3a076afac7"
+            "748a7b9f54349458ccedf37c1451c1bfffd58162ed4e1c96ecc432232bea6228"
 
     def test_fit_ethanol_output_bytes(self, capsys, tmp_path):
         write_annual_csv(tmp_path / "e.csv", [1.5, 1.75, 2.25, 2.5, 3.5, 4.0,
@@ -268,7 +268,7 @@ class TestFitCombinedCommand:
         assert report["switch_date"] == "2007-05"
         assert report["sse"] <= 17069683.100586947 * (1 + 1e-9)
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "7476daf03091c4988669053243bd8ef5a1fb8441a5eecaebe9bfda9abf811318"
+            "016b97df4234a21f6479fdce542a3e9816ecbaaa966876a6977a5098ba997c3c"
 
     def test_rank_deficient_basis(self, capsys, tmp_path):
         """39 months end at 2007-03, so the 2007 search tries its last 3

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from bubbledyn import DegenerateInputError, FitError, fitting, minimize, r_squared
+from bubbledyn import (DegenerateInputError, FitError, SupplyDemandParams,
+                       fit_combined, fit_supply_demand, fitting, minimize,
+                       r_squared, simulate_equilibrium_path)
 
 from conftest import annual
+from test_combined import BOUNDED, make_food
 
 
 def identity(v):
@@ -31,14 +34,15 @@ class TestMinimize:
                               rosenbrock_jacobian)
             assert report.parameter_vector == pytest.approx((1.0, 1.0), abs=1e-4)
 
-    def test_all_starts_infeasible(self, monkeypatch):
-        # an infeasible start fails before the solver runs
-        monkeypatch.setattr(fitting, "least_squares", None)
-        calls = []
+    def test_all_starts_infeasible(self):
+        # an infeasible start fails before any step or Jacobian
+        calls, jacobians = [], []
         with pytest.raises(FitError):
             minimize(lambda v: calls.append(v) or [np.nan], start=(0.0,),
-                     bounds=[(-5.0, 5.0)], jacobian=identity)
+                     bounds=[(-5.0, 5.0)],
+                     jacobian=lambda v: jacobians.append(v) or identity(v))
         assert len(calls) == 1
+        assert jacobians == []
 
     def test_non_finite_jacobian_ends_only_that_start(self):
         def kinked(v):
@@ -106,7 +110,7 @@ class TestMinimize:
     def test_converged_is_the_solve_success(self, monkeypatch, success):
         def least_squares(fun, x0, **kwargs):
             return fitting.LeastSquaresResult(x=x0 + 0.5, fun=np.array([1.0]),
-                                              success=success)
+                                              success=success, nfev=3)
 
         monkeypatch.setattr(fitting, "least_squares", least_squares)
         report = minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-1.0, 1.0)],
@@ -114,6 +118,78 @@ class TestMinimize:
         assert report.parameter_vector == (0.5,)
         assert report.objective_value == 1.0
         assert report.converged is success
+        assert report.evaluations == 3
+
+
+def logged_solves(fit):
+    """(start, report, calls) of each ``fitting.minimize`` call that
+    ``fit()`` makes, ``calls`` listing ("f", x) for each residual call and
+    ("J", x) for each Jacobian call in order."""
+    solves = []
+    real = fitting.minimize
+
+    def spy(residuals, start, bounds, jacobian):
+        calls = []
+        report = real(lambda v: calls.append(("f", v.copy())) or residuals(v),
+                      start, bounds,
+                      lambda v: calls.append(("J", v.copy())) or jacobian(v))
+        solves.append((np.asarray(start, dtype=float), report, calls))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "minimize", spy)
+        fit()
+    return solves
+
+
+def supply_demand_fit():
+    rng = np.random.default_rng(5)
+    surplus = annual(rng.normal(scale=8.0, size=12), start=(1982, 1))
+    path = simulate_equilibrium_path(
+        surplus, SupplyDemandParams(1.0, 300.0, 1.0, 150.0, 1.0))
+    price = path.prices.with_values(
+        path.prices.to_array() * np.exp(rng.normal(scale=0.02, size=12)))
+    return fit_supply_demand(price, path.quantities, surplus)
+
+
+def product_penalty(v):
+    # the optimum leaves a residual, so the solve stops on a tolerance
+    return np.array([v[0] - 3.0, v[1] + 1.0, 0.5 * v[0] * v[1]])
+
+
+def product_penalty_jacobian(v):
+    return np.array([[1.0, 0.0], [0.0, 1.0], [0.5 * v[1], 0.5 * v[0]]])
+
+
+@pytest.mark.parametrize("fit", [
+    pytest.param(lambda: fitting.minimize(product_penalty, (0.0, 1.0),
+                                          [(-5.0, 5.0)] * 2,
+                                          product_penalty_jacobian),
+                 id="toy"),
+    pytest.param(supply_demand_fit, id="fit-sd"),
+    # three months off the generator's 40, so no seed is already exact
+    pytest.param(lambda: fit_combined(*make_food(88, BOUNDED),
+                                      switch_candidates=[30, 36, 45]),
+                 id="fit-combined"),
+])
+def test_one_residual_call_per_point(fit):
+    """The start's residuals are evaluated once, the Jacobian only at the
+    point of the residual call before it, and not at the point where a
+    solve stops on its cost or step tolerance after an accepted step, as
+    each solve here does; ``evaluations`` counts the residual calls."""
+    solves = logged_solves(fit)
+    assert solves
+    for start, report, calls in solves:
+        points = [x for kind, x in calls if kind == "f"]
+        assert calls[0][0] == "f" and np.array_equal(points[0], start)
+        assert sum(np.array_equal(x, start) for x in points) == 1
+        for (before, at), (kind, x) in zip(calls, calls[1:]):
+            assert kind == "f" or (before == "f" and np.array_equal(at, x))
+        end = np.array(report.parameter_vector)
+        assert calls[-1][0] == "f" and np.array_equal(calls[-1][1], end)
+        assert not any(kind == "J" and np.array_equal(x, end)
+                       for kind, x in calls)
+        assert report.evaluations == len(points)
 
 
 class TestRSquared:

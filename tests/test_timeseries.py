@@ -362,7 +362,8 @@ def _records():
         (TrendComparison, {"trend_a": trend, "trend_b": trend,
                            "coefficient_gap": 0.0, "rho": 0.9},
          {"rho": 0.8}, None, {}),
-        (LeastSquaresResult, {"x": (0.1, 1.2), "fun": (0.0,), "success": True},
+        (LeastSquaresResult, {"x": (0.1, 1.2), "fun": (0.0,), "success": True,
+                              "nfev": 7},
          {"success": False}, None, {}),
         (FitReport, {"parameter_vector": (0.1, 1.2), "objective_value": 0.5,
                      "evaluations": 7, "converged": True},
