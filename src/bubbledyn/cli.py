@@ -8,10 +8,10 @@ error, 4 fit failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import data_io, timeseries
@@ -31,9 +31,6 @@ _EXIT_CODES = ((FitError, EXIT_FIT), (BubbledynError, EXIT_DATA),
 
 #: Environment variable naming the default directory for data files.
 DATA_DIR_ENV = "BUBBLEDYN_DATA_DIR"
-
-#: The commands that compute in numpy; the others never import it.
-NUMPY_COMMANDS = ("phase", "fit-sd", "fit-combined")
 
 
 def _resolve(path: str) -> Path:
@@ -254,22 +251,14 @@ def switch_candidates_for_year(food: timeseries.TimeSeries, year: int) -> list[i
     return candidates
 
 
-def _quiet_numpy(command: str):
-    """numpy's floating-point warnings switched off for the commands that
-    compute in numpy, where an overflow surfaces as the error it leads to;
-    the other commands compute on Python floats, which do not warn."""
-    if command not in NUMPY_COMMANDS:
-        return contextlib.nullcontext()
-    import numpy as np
-
-    return np.errstate(all="ignore")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _quiet_numpy(args.command):
+        # numpy's floating-point warnings are RuntimeWarnings; an overflow
+        # surfaces as the error it leads to, reported as one JSON line
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             data_io.emit(_run(args), args.format,
                          sys.stdout if args.output is None else args.output)
         sys.stdout.flush()

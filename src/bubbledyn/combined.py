@@ -77,14 +77,6 @@ def _segments(const: list[float], k_sd: float, k_sp: float, split: int,
     return head + iterate(const[split:], (1.0 - k_sd) + k_sp, -k_sp, prev, cur)
 
 
-def _path(v: np.ndarray, terms: tuple, p0: float, p1: float) -> list[float]:
-    """Prices P(2)..P(steps) for v = (k_sd, k_sp, k_1..k_N, a, b)."""
-    t2, lag, _, gated_diffs, split = terms
-    k_sd, k_sp, a, b = float(v[0]), float(v[1]), float(v[-2]), float(v[-1])
-    const = (a + b * t2) * k_sd + b * lag + v[2:-2] @ gated_diffs
-    return _segments(const.tolist(), k_sd, k_sp, split, p0, p1)
-
-
 def _responses(k_sd: float, k_sp: float, split: int, updates: int,
                from_start: Sequence[list[float]],
                from_switch: Sequence[list[float]]) -> np.ndarray:
@@ -126,9 +118,10 @@ def _basis(k_sd: float, k_sp: float, terms: tuple,
     return np.array(_segments(forcing, k_sd, k_sp, split, p0, p1)), phi
 
 
-def _sensitivities(v: np.ndarray, terms: tuple, prices: np.ndarray) -> np.ndarray:
-    """The exact derivatives of P(2)..P(steps) by k_sd and by k_sp at v,
-    one column each, given the prices P(0)..P(steps) at v.
+def _sensitivities(k_sd: float, k_sp: float, a: float, b: float, terms: tuple,
+                   prices: np.ndarray) -> np.ndarray:
+    """The exact derivatives of P(2)..P(steps) by k_sd and by k_sp, one
+    column each, given the prices P(0)..P(steps) at these parameters.
 
     Differentiating the recurrence gives each column the model's own
     two-segment recurrence from zero initial prices, forced at update t by
@@ -136,7 +129,6 @@ def _sensitivities(v: np.ndarray, terms: tuple, prices: np.ndarray) -> np.ndarra
     k_sd and gate (P(t) - P(t-1)) for k_sp.
     """
     t2, _, _, _, split = terms
-    k_sd, k_sp, a, b = float(v[0]), float(v[1]), float(v[-2]), float(v[-1])
     return _responses(k_sd, k_sp, split, len(t2),
                       [(a + b * t2 - prices[1:-1]).tolist()],
                       [np.diff(prices[split:-1]).tolist()])
@@ -158,11 +150,12 @@ def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
         start = markets[0].start if markets else (2004, 1)
     frequency = markets[0].frequency if markets else Frequency.MONTHLY
     arrays = _market_arrays(markets, start, frequency, steps + 1)
-    terms = _model_terms(arrays, steps, params.switch_index)
-    v = np.array([params.k_sd, params.k_sp, *params.couplings,
-                  params.trend_a, params.trend_b])
+    t2, lag, _, gated_diffs, split = _model_terms(arrays, steps, params.switch_index)
+    k_sd, a, b = float(params.k_sd), float(params.trend_a), float(params.trend_b)
+    const = ((a + b * t2) * k_sd + b * lag
+             + np.array(params.couplings, dtype=float) @ gated_diffs)
     p0, p1 = float(p0), float(p1)
-    path = _path(v, terms, p0, p1)
+    path = _segments(const.tolist(), k_sd, float(params.k_sp), split, p0, p1)
     return TimeSeries(start, frequency, (p0, p1, *path), "price")
 
 
@@ -309,8 +302,8 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
                 residuals(theta)
             if last["path"] is None:
                 return np.full((len(observed), 2), np.nan)
-            trend_ab = last["lin"][:2] if fixed is None else fixed
-            sens = _sensitivities(np.append(theta, trend_ab), terms,
+            a, b = last["lin"][:2] if fixed is None else fixed
+            sens = _sensitivities(*theta.tolist(), a, b, terms,
                                   np.concatenate(([p0, p1], last["path"])))
             u = last["u"]
             return (u @ (u.T @ sens) - sens) / scale

@@ -3,7 +3,9 @@
 Every run ends one of two ways: exit 0 with an empty stderr and, on stdout,
 JSON that holds only finite numbers; or exit 2, 3 or 4 with nothing on
 stdout and one JSON line with keys ``error`` and ``type`` on stderr.  A
-RuntimeWarning counts as a break of the contract.
+RuntimeWarning counts as a break of the contract; ``main`` ignores those
+raised while it runs the command, so the check holds there by construction
+and catches only the ones raised around it.
 """
 
 import contextlib
@@ -24,14 +26,16 @@ FIELD_COUNTS = (None,) * 6 + (0, 1, 2, 3)  # None keeps the header's count
 # half the draws are plain values, so that runs also reach a result
 numbers = st.one_of(st.sampled_from(NUMBERS), st.floats(0.01, 3.0).map(repr))
 plain_cells = st.floats(-100.0, 100.0).map(repr)
+# prices and quantities that the supply/demand fit's Box-Cox transform takes
+positive_cells = st.floats(0.01, 100.0).map(repr)
 cells = st.one_of(st.sampled_from(CELLS), plain_cells)
 
 
 @st.composite
-def csv_files(draw, frequency):
-    """At most 30 rows of consecutive dates with blank lines between some;
-    in a spoiled file, cells come from the pool and some rows have another
-    field count than the header."""
+def csv_files(draw, frequency, plain=plain_cells):
+    """At most 30 rows of consecutive dates with blank lines between some,
+    each cell drawn from ``plain``; in a spoiled file, cells come from the
+    pool and some rows have another field count than the header."""
     spoiled = draw(st.integers(0, 2)) == 0
     header = draw(st.sampled_from(HEADERS))
     year, month = draw(st.integers(2000, 2003)), draw(st.integers(1, 12))
@@ -41,7 +45,7 @@ def csv_files(draw, frequency):
             lines.append("")
         y, m = divmod(year * 12 + month - 1 + i, 12)
         date = f"{y:04d}-{m + 1:02d}" if frequency == "monthly" else f"{year + i:04d}"
-        fields = {"date": date, "value": draw(cells if spoiled else plain_cells),
+        fields = {"date": date, "value": draw(cells if spoiled else plain),
                   "note": "x"}
         row = [fields[name] for name in header.split(",")]
         count = draw(st.sampled_from(FIELD_COUNTS)) if spoiled else None
@@ -53,7 +57,8 @@ def csv_files(draw, frequency):
 def cases(draw):
     """An argv list and the CSV files it reads, by name."""
     command = draw(st.sampled_from(("phase", "simulate-spec", "simulate-sd",
-                                    "correlate", "lagscan", "fit-ethanol")))
+                                    "correlate", "lagscan", "fit-ethanol",
+                                    "fit-sd")))
     if command == "phase":
         points = st.integers(-1, 41).map(lambda n: "junk" if n == 41 else str(n))
         plain = st.tuples(st.floats(0.0, 2.0).map(repr), st.floats(2.5, 5.0).map(repr),
@@ -67,6 +72,12 @@ def cases(draw):
                 f"--steps={draw(st.integers(-1, 300))}", "--format=json"]
         return argv + ([f"--p1={draw(numbers)}"] if draw(st.booleans()) else []), {}
     frequency = draw(st.sampled_from(("monthly", "annual")))
+    if command == "fit-sd":
+        files = {"p.csv": draw(csv_files(frequency, positive_cells)),
+                 "q.csv": draw(csv_files(frequency, positive_cells)),
+                 "s.csv": draw(csv_files(frequency))}
+        return [command, f"--frequency={frequency}", "--price=p.csv",
+                "--consumption=q.csv", "--surplus=s.csv"], files
     files = {"a.csv": draw(csv_files(frequency)), "b.csv": draw(csv_files(frequency))}
     argv = [command, f"--frequency={frequency}"]
     if command == "simulate-sd":

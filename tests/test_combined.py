@@ -139,8 +139,9 @@ SWITCHES = (1, N_MONTHS // 2, N_MONTHS - 2)
 
 
 def per_step_path(v, terms, p0, p1):
-    """The reference for :func:`combined._path`: every update takes its own
-    gated coefficients (1 - k_sd + gate k_sp, -gate k_sp)."""
+    """The model's prices P(2)..P(steps) at v = (k_sd, k_sp, k_1..k_N, a, b),
+    every update taking its own gated coefficients
+    (1 - k_sd + gate k_sp, -gate k_sp)."""
     t2, lag, gate, gated_diffs, _ = terms
     k_sd, k_sp, a, b = v[0], v[1], v[-2], v[-1]
     const = (a + b * t2) * k_sd + b * lag + v[2:-2] @ gated_diffs
@@ -181,14 +182,20 @@ class TestExactJacobian:
     @settings(max_examples=60, deadline=None)
     @given(model_points())
     def test_two_segment_path_is_the_per_step_recurrence(self, point):
-        assert combined._path(*point) == per_step_path(*point)
+        v, terms, p0, p1 = point
+        # terms[-1], the updates before the switch, is the switch month - 1
+        params = CombinedParams(v[0], v[1], tuple(v[2:-2]), v[-2], v[-1],
+                                terms[-1] + 1)
+        path = simulate_combined(params, make_markets(N_MONTHS)[:len(v) - 4],
+                                 p0, p1, N_MONTHS - 1)
+        assert list(path.values) == [p0, p1, *per_step_path(*point)]
 
     @settings(max_examples=60, deadline=None)
     @given(model_points())
     def test_matches_central_differences(self, point):
         v, terms, p0, p1 = point
-        prices = np.array([p0, p1, *combined._path(v, terms, p0, p1)])
-        got = combined._sensitivities(v, terms, prices)
+        prices = np.array([p0, p1, *per_step_path(v, terms, p0, p1)])
+        got = combined._sensitivities(v[0], v[1], v[-2], v[-1], terms, prices)
         assert got.shape == (N_MONTHS - 2, 2)
         noise = rounding(v, terms, np.max(np.abs(prices)))
         for i in range(2):
@@ -196,8 +203,8 @@ class TestExactJacobian:
             up, down = v.copy(), v.copy()
             up[i] += h
             down[i] -= h
-            want = (np.array(combined._path(up, terms, p0, p1))
-                    - np.array(combined._path(down, terms, p0, p1))) / (2 * h)
+            want = (np.array(per_step_path(up, terms, p0, p1))
+                    - np.array(per_step_path(down, terms, p0, p1))) / (2 * h)
             # relative to the column, or to that rounding where the column
             # is 0 (k_sd and k_sp on a flat path)
             gap = np.max(np.abs(got[:, i] - want))
@@ -212,7 +219,7 @@ class TestExactJacobian:
         h, phi = combined._basis(v[0], v[1], terms, trend, p0, p1)
         linear = np.concatenate((v[-2:], v[2:-2])) if joint else v[2:-2]
         assert phi.shape == (N_MONTHS - 2, len(linear))
-        want = np.array(combined._path(v, terms, p0, p1))
+        want = np.array(per_step_path(v, terms, p0, p1))
         got = h + phi @ linear
         # the path and each term of the sum round on their own
         scale = np.max(np.abs(np.column_stack((want, h, phi * linear))))
