@@ -257,9 +257,10 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     steps = len(fv) - 1
     arrays = _market_arrays(markets, food.start, food.frequency, steps + 1)
     p0, p1, observed = float(fv[0]), float(fv[1]), fv[2:]
-    scale = float(np.max(np.abs(fv)))
-    if scale == 0.0:
+    # r2 is undefined on a constant series; no solve can change that
+    if np.all(fv == fv[0]):
         raise DegenerateInputError("constant observed series")
+    scale = float(np.max(np.abs(fv)))
     fixed = None if trend is None else (trend.a, trend.b)
     lo, hi = np.array(BOX).T
 

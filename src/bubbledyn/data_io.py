@@ -22,19 +22,20 @@ _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _ANNUAL_RE = re.compile(r"^(\d{4})(?:-01)?$")
 
 
-def _parse_date(raw: str, frequency: Frequency, row: int) -> tuple[int, int]:
+def _parse_date(raw: str, frequency: Frequency, path: Path, row: int) -> tuple[int, int]:
     raw = raw.strip()
     if frequency is Frequency.MONTHLY:
         m = _MONTHLY_RE.match(raw)
         if not m:
-            raise DataError(f"row {row}: bad monthly date {raw!r} (want YYYY-MM)")
+            raise DataError(f"{path} row {row}: bad monthly date {raw!r} "
+                            "(want YYYY-MM)")
         year, month = int(m.group(1)), int(m.group(2))
         if not 1 <= month <= 12:
-            raise DataError(f"row {row}: month out of range in {raw!r}")
+            raise DataError(f"{path} row {row}: month out of range in {raw!r}")
         return year, month
     m = _ANNUAL_RE.match(raw)
     if not m:
-        raise DataError(f"row {row}: bad annual date {raw!r} (want YYYY)")
+        raise DataError(f"{path} row {row}: bad annual date {raw!r} (want YYYY)")
     return int(m.group(1)), 1
 
 
@@ -64,7 +65,7 @@ def load_series(path: Union[str, Path], frequency: Frequency, label: str = "",
         if None in row or None in row.values():
             raise DataError(f"{path} row {row_no}: field count differs from "
                             "the header's")
-        date = _parse_date(row["date"], frequency, row_no)
+        date = _parse_date(row["date"], frequency, path, row_no)
         cell = row["value"]
         try:
             value = float(cell)

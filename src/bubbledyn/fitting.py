@@ -7,7 +7,7 @@ dimensions for the supply/demand fit and in 2 for the combined fit.  A
 needed.  Points where the model is undefined return non-finite
 residuals, on which the solver shrinks its step.
 
-:func:`least_squares` is a numpy port of the path of
+:func:`minimize` is a numpy port of the path of
 ``scipy.optimize.least_squares(method="trf")`` that these fits take: finite
 bounds, the caller's dense Jacobian (scipy's ``jac=callable``), the
 exact trust-region subproblem through one SVD (Moré 1978), linear loss, unit
@@ -30,17 +30,6 @@ from .timeseries import TimeSeries, align, record
 EPS = np.finfo(float).eps
 #: ftol, xtol and gtol of the solve.
 TOL = 1e-8
-
-
-@record
-class LeastSquaresResult:
-    """Terminal point of one solve; ``success`` is False at the evaluation
-    cap, and ``nfev`` counts the evaluations, the start's included."""
-
-    x: np.ndarray
-    fun: np.ndarray
-    success: bool
-    nfev: int
 
 
 def _norm(x):
@@ -179,28 +168,56 @@ def _select_step(x, J_h, diag_h, g_h, p_h, d, Delta, lo, hi, theta):
     return -d * g_h * ag_stride, -g_h * ag_stride, -ag_value
 
 
-def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
-    """Minimise ``|fun(x)|^2 / 2`` over the box ``bounds = (lo, hi)`` from
-    ``x0`` by the trust-region-reflective method.
+@record
+class FitReport:
+    """Outcome of one bounded least-squares solve."""
 
-    ``fun`` returns the residuals as a 1-D float sequence, and ``x0`` lies
-    in the box, whose bounds are finite with lo < hi (:func:`minimize`
-    checks both).  ``jac`` returns the Jacobian of ``fun`` at x as an
-    (m, n) float array, called at the start and at each accepted point but
-    one where a cost or step tolerance stop ends the solve (a gradient stop
-    needs it there).  Stops as scipy does: on a scaled gradient below
-    :data:`TOL`, on a relative cost change or step below it, or,
-    unsuccessfully, after 100 evaluations per variable, which ``nfev``
-    counts as scipy does.  Raises :class:`FitError` where the start's
-    residuals, or the scaled Jacobian or gradient at an accepted point,
-    are not finite.
+    parameter_vector: tuple[float, ...]
+    objective_value: float
+    evaluations: int
+    converged: bool
+
+
+def minimize(residuals: Callable[[np.ndarray], np.ndarray],
+             start: Sequence[float],
+             bounds: Sequence[tuple[float, float]],
+             jacobian: Callable[[np.ndarray], np.ndarray]) -> FitReport:
+    """Minimise the sum of squared ``residuals`` over the box ``bounds``,
+    one (lo, hi) pair per parameter, from ``start`` by the
+    trust-region-reflective method; returns the terminal point.
+
+    ``residuals`` returns a 1-D float sequence, and ``jacobian`` its
+    Jacobian as a float array, one row per residual and one column per
+    parameter: the exact one for the supply/demand fit, Kaufman's for the
+    combined fit's projected residuals.  ``jacobian`` is called at the
+    start and at each accepted point but one where a cost or step tolerance
+    stop ends the solve (a gradient stop needs it there).  The solve stops
+    as scipy's does: on a scaled gradient below :data:`TOL`, on a relative
+    cost change or step below it, or, with ``converged`` False, after 100
+    evaluations per variable.  ``evaluations`` is scipy's ``nfev``, the
+    start's included; calls of ``jacobian`` are not counted.
+    ``objective_value`` is the sum of squared residuals at the terminal
+    point.  Deterministic given identical inputs.
+
+    Raises ValueError where a bound is not finite or not below its pair,
+    or the start does not match the bounds or lies outside them, and
+    :class:`FitError` that names the cause where the start's residuals are
+    not finite, the solve meets a non-finite Jacobian, or it ends at a sum
+    of squares that overflows.
     """
-    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    x = _strictly_feasible(np.asarray(x0, dtype=float), lo, hi, 1e-10)
-    f = np.asarray(fun(x), dtype=float)
+    lo, hi = np.array(bounds, dtype=float).T
+    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+        raise ValueError("bounds must be finite with lo < hi")
+    start = np.asarray(start, dtype=float)
+    if start.shape != lo.shape:
+        raise ValueError("start dimensionality does not match bounds")
+    if not np.all((lo <= start) & (start <= hi)):
+        raise ValueError("start lies outside the bounds")
+    x = _strictly_feasible(start, lo, hi, 1e-10)
+    f = np.asarray(residuals(x), dtype=float)
     if not np.isfinite(f).all():
         raise FitError("the residuals at the start are not finite")
-    J = jac(x)
+    J = jacobian(x)
     m, n = J.shape
     cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
     Delta = _norm(x / _coleman_li(x, g, lo, hi)[0] ** 0.5) or 1.0
@@ -231,7 +248,8 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
                                                    p_h, d, Delta, lo, hi, theta)
             trial = _strictly_feasible(x + step, lo, hi, 0)
             # an unmoved trial point reuses its residuals, as scipy's cache does
-            f_new = f_new if (trial == x_new).all() else np.asarray(fun(trial), float)
+            if not (trial == x_new).all():
+                f_new = np.asarray(residuals(trial), dtype=float)
             x_new, nfev, step_h_norm = trial, nfev + 1, _norm(step_h)
             if not np.all(np.isfinite(f_new)):
                 Delta = 0.25 * step_h_norm
@@ -257,57 +275,12 @@ def least_squares(fun, x0, bounds, jac) -> LeastSquaresResult:
             x, f, cost = x_new, f_new, cost_new
             if converged:
                 break
-            J = jac(x)
+            J = jacobian(x)
             g = J.T.dot(f)
-    return LeastSquaresResult(x=x, fun=f, success=converged, nfev=nfev)
-
-
-@record
-class FitReport:
-    """Outcome of one bounded least-squares solve."""
-
-    parameter_vector: tuple[float, ...]
-    objective_value: float
-    evaluations: int
-    converged: bool
-
-
-def minimize(residuals: Callable[[np.ndarray], np.ndarray],
-             start: Sequence[float],
-             bounds: Sequence[tuple[float, float]],
-             jacobian: Callable[[np.ndarray], np.ndarray]) -> FitReport:
-    """Bounded least squares from ``start``; returns the terminal point.
-
-    ``jacobian`` returns the Jacobian of ``residuals`` as a float array,
-    one row per residual and one column per parameter: the exact one for
-    the supply/demand fit, Kaufman's for the combined fit's projected
-    residuals.  :func:`least_squares` checks the start and calls
-    ``jacobian`` at the start and at each accepted point but one where a
-    cost or step tolerance stop ends the solve.
-    ``objective_value`` is the sum of squared residuals at the terminal
-    point, ``converged`` the solve's success flag, and ``evaluations`` the
-    solve's ``nfev``; calls of ``jacobian`` are not counted.
-    Deterministic given identical inputs.  Raises :class:`FitError` that
-    names the cause when the start's residuals are not finite, the solve
-    meets a non-finite Jacobian, or it ends at a sum of squares that
-    overflows.
-    """
-    lo, hi = np.array(bounds, dtype=float).T
-    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
-        raise ValueError("bounds must be finite with lo < hi")
-    start = np.asarray(start, dtype=float)
-    if start.shape != lo.shape:
-        raise ValueError("start dimensionality does not match bounds")
-    if not np.all((lo <= start) & (start <= hi)):
-        raise ValueError("start lies outside the bounds")
-    res = least_squares(residuals, start, bounds=(lo, hi), jac=jacobian)
-    sse = float(res.fun @ res.fun)
+    sse = float(f @ f)
     if not np.isfinite(sse):
         raise FitError("the sum of squares at the fitted point overflows")
-    return FitReport(parameter_vector=tuple(float(v) for v in res.x),
-                     objective_value=sse,
-                     evaluations=res.nfev,
-                     converged=bool(res.success))
+    return FitReport(tuple(x.tolist()), sse, nfev, bool(converged))
 
 
 def r_squared(observed: TimeSeries, modeled: TimeSeries) -> float:

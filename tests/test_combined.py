@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bubbledyn import (AlignmentError, CombinedParams, DegenerateInputError,
-                       Frequency, QuadraticTrend, Regime, Window,
+                       FitError, Frequency, QuadraticTrend, Regime, Window,
                        combined, fit_combined, fitting, quadratic_fit,
                        simulate_combined)
 
@@ -313,10 +313,39 @@ class TestFitCombined:
         assert "trend_box" not in fit.to_dict()
 
     def test_zero_food_is_degenerate(self):
-        # the residuals are scaled by max|food|
+        # r2 is undefined on a constant series
         _, markets = make_food(60)
         with pytest.raises(DegenerateInputError, match="constant"):
             fit_combined(monthly(np.zeros(60)), markets, switch_candidates=[40])
+
+    @pytest.mark.parametrize("level", [0.0, 100.0])
+    def test_constant_food_runs_no_solve(self, monkeypatch, level):
+        solves = []
+        monkeypatch.setattr(fitting, "minimize", lambda *args: solves.append(args))
+        with pytest.raises(DegenerateInputError, match="constant observed series"):
+            fit_combined(monthly([level] * 88), [],
+                         switch_candidates=list(range(36, 48)))
+        assert solves == []
+
+    @pytest.mark.parametrize("case, joint, message", [
+        ("food-1e308", True, "the solve met a non-finite Jacobian"),
+        ("food-1e308", False, "the sum of squares at the fitted point overflows"),
+        ("market-1.7e308", True, "the residuals at the start are not finite"),
+        ("market-1.7e308", False, "the residuals at the start are not finite"),
+    ])
+    def test_fit_error_names_its_cause(self, case, joint, message):
+        # 105 + 0.01 t**2 over 88 months, the switch searched over 36-47
+        food = 105.0 + 0.01 * np.arange(88.0) ** 2
+        markets = []
+        if case == "food-1e308":
+            food[50] = 1e308
+        else:
+            markets = [monthly([1.7e308 * (-1) ** t for t in range(88)])]
+        food = monthly(food)
+        trend = (None if joint else
+                 quadratic_fit(food, [Window(36, 60), Window(77, 88)]))
+        with np.errstate(all="ignore"), pytest.raises(FitError, match=message):
+            fit_combined(food, markets, trend, switch_candidates=list(range(36, 48)))
 
     @settings(max_examples=10, deadline=None)
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))

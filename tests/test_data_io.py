@@ -80,6 +80,19 @@ class TestLoadSeries:
         with pytest.raises(DataError, match=error):
             load_series(f, Frequency.MONTHLY)
 
+    @pytest.mark.parametrize("frequency, rows, error", [
+        (Frequency.MONTHLY, ["2004-01,1", "2004/02,2"], "row 3: bad monthly date"),
+        (Frequency.MONTHLY, ["2004-13,1"], "row 2: month out of range"),
+        (Frequency.ANNUAL, ["1999,1", "2000-06,2"], "row 3: bad annual date"),
+        (Frequency.MONTHLY, ["2004-02,1", "2004-01,2"], "row 3: dates not increasing"),
+    ], ids=["monthly", "month", "annual", "decreasing"])
+    def test_date_errors_name_the_file(self, tmp_path, frequency, rows, error):
+        f = tmp_path / "s.csv"
+        write_csv(f, rows)
+        with pytest.raises(DataError) as info:
+            load_series(f, frequency)
+        assert str(info.value).startswith(f"{f} {error}")
+
     def test_inverse_transform(self, tmp_path):
         f = tmp_path / "y.csv"
         write_csv(f, ["2004-01,5.0", "2004-02,4.0"])

@@ -21,6 +21,15 @@ def rosenbrock_jacobian(v):
     return np.array([[-1.0, 0.0], [-20.0 * v[0], 10.0]])
 
 
+def stiff_valley(v):
+    # a valley too narrow to follow in 100 evaluations per variable
+    return np.array([1 - v[0], 1e3 * (v[1] - v[0] ** 2)])
+
+
+def stiff_valley_jacobian(v):
+    return np.array([[-1.0, 0.0], [-2e3 * v[0], 1e3]])
+
+
 class TestMinimize:
     def test_convex_1d(self):
         report = minimize(lambda v: [v[0] - 3.0],
@@ -106,19 +115,11 @@ class TestMinimize:
         assert report.evaluations == len(calls)
         assert calls[0] == (-1.5, 2.0)
 
-    @pytest.mark.parametrize("success", [True, False])
-    def test_converged_is_the_solve_success(self, monkeypatch, success):
-        def least_squares(fun, x0, **kwargs):
-            return fitting.LeastSquaresResult(x=x0 + 0.5, fun=np.array([1.0]),
-                                              success=success, nfev=3)
-
-        monkeypatch.setattr(fitting, "least_squares", least_squares)
-        report = minimize(lambda v: [v[0]], start=(0.0,), bounds=[(-1.0, 1.0)],
-                          jacobian=identity)
-        assert report.parameter_vector == (0.5,)
-        assert report.objective_value == 1.0
-        assert report.converged is success
-        assert report.evaluations == 3
+    def test_stops_unconverged_at_the_evaluation_cap(self):
+        report = minimize(stiff_valley, (-1.5, 2.0), [(-5.0, 5.0), (-5.0, 25.0)],
+                          stiff_valley_jacobian)
+        assert report.converged is False
+        assert report.evaluations == 200
 
 
 def logged_solves(fit):

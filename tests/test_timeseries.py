@@ -339,7 +339,6 @@ def _records():
                            Regime, RegimeClassification, SpeculatorParams,
                            SupplyDemandFit, SupplyDemandParams,
                            TrendComparison)
-    from bubbledyn.fitting import LeastSquaresResult
 
     series = monthly([1.0, 2.0, 4.0])
     trend = QuadraticTrend(1.0, 0.5, 0.9)
@@ -362,9 +361,6 @@ def _records():
         (TrendComparison, {"trend_a": trend, "trend_b": trend,
                            "coefficient_gap": 0.0, "rho": 0.9},
          {"rho": 0.8}, None, {}),
-        (LeastSquaresResult, {"x": (0.1, 1.2), "fun": (0.0,), "success": True,
-                              "nfev": 7},
-         {"success": False}, None, {}),
         (FitReport, {"parameter_vector": (0.1, 1.2), "objective_value": 0.5,
                      "evaluations": 7, "converged": True},
          {"evaluations": 8}, None, {}),

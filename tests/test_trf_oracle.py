@@ -12,6 +12,7 @@ from bubbledyn import fit_combined, fit_supply_demand, fitting
 
 from conftest import FIT_SD_GRID, annual
 from test_combined import BOUNDED, make_food
+from test_fitting import stiff_valley, stiff_valley_jacobian
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -19,14 +20,14 @@ optimize = pytest.importorskip("scipy.optimize")
 def spied_problems(fit, *args, **kwargs):
     """(residuals, jacobian, start, bounds) of every solve ``fit`` runs."""
     problems = []
-    solve = fitting.least_squares
+    solve = fitting.minimize
 
-    def spy(fun, x0, bounds, jac):
-        problems.append((fun, jac, np.array(x0), bounds))
-        return solve(fun, x0, bounds, jac)
+    def spy(residuals, start, bounds, jacobian):
+        problems.append((residuals, jacobian, np.array(start), bounds))
+        return solve(residuals, start, bounds, jacobian)
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(fitting, "least_squares", spy)
+    mp.setattr(fitting, "minimize", spy)
     try:
         fit(*args, **kwargs)
     finally:
@@ -87,39 +88,50 @@ def cases():
     # the golden fit's own start, (lambda, beta_d, beta_s) = (0.9, 1, 0.3)
     fun, jac, x0, bounds = fit_sd_golden_problems()[FIT_SD_GRID.index((0.9, 1.0, 0.3))]
     yield pytest.param(fun, jac, x0, bounds, id="fit-sd-golden")
-    box = (np.array([-2.0, -1.0]), np.array([0.5, 3.0]))
-    yield pytest.param(rosenbrock, rosenbrock_jacobian, np.array([-1.5, 2.0]), box,
-                       id="rosenbrock-box")
+    yield pytest.param(rosenbrock, rosenbrock_jacobian, np.array([-1.5, 2.0]),
+                       [(-2.0, 0.5), (-1.0, 3.0)], id="rosenbrock-box")
     yield pytest.param(optimum_past_bound, optimum_past_bound_jacobian,
-                       np.array([2.0, 1.0]),
-                       (np.array([1.0, -1.0]), np.array([3.0, 2.0])),
+                       np.array([2.0, 1.0]), [(1.0, 3.0), (-1.0, 2.0)],
                        id="optimum-on-bound")
+    yield pytest.param(stiff_valley, stiff_valley_jacobian, np.array([-1.5, 2.0]),
+                       [(-5.0, 5.0), (-5.0, 25.0)], id="evaluation-cap")
+
+
+def scipy_solve(fun, jac, x0, bounds):
+    """scipy's own solve of a problem, given as :func:`fitting.minimize`
+    takes it."""
+    return optimize.least_squares(fun, x0, jac=jac, bounds=tuple(np.array(bounds).T),
+                                  method="trf")
+
+
+def assert_same_end(got, want):
+    """A :class:`fitting.FitReport` ends where scipy's result does, up to
+    the stopping tolerances."""
+    assert got.converged == want.success and got.evaluations == want.nfev
+    np.testing.assert_allclose(got.parameter_vector, want.x, rtol=1e-6, atol=0)
+    assert got.objective_value == pytest.approx(want.fun @ want.fun, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("fun, jac, x0, bounds", cases())
 def test_port_matches_scipy(fun, jac, x0, bounds):
-    want = optimize.least_squares(fun, x0, jac=jac, bounds=bounds, method="trf")
-    got = fitting.least_squares(fun, x0, bounds, jac)
-    assert got.success == want.success
-    np.testing.assert_allclose(got.x, want.x, rtol=1e-6, atol=0)
-    assert got.fun @ got.fun == pytest.approx(want.fun @ want.fun, rel=1e-9, abs=0)
+    assert_same_end(fitting.minimize(fun, x0, bounds, jac),
+                    scipy_solve(fun, jac, x0, bounds))
 
 
 def test_every_fit_sd_start_ends_at_scipy_objective():
     for fun, jac, x0, bounds in fit_sd_golden_problems():
-        want = optimize.least_squares(fun, x0, jac=jac, bounds=bounds, method="trf")
-        got = fitting.least_squares(fun, x0, bounds, jac)
-        assert got.success == want.success
-        np.testing.assert_allclose(got.x, want.x, rtol=1e-6, atol=0)
-        assert got.fun @ got.fun == pytest.approx(want.fun @ want.fun, rel=1e-9)
+        assert_same_end(fitting.minimize(fun, x0, bounds, jac),
+                        scipy_solve(fun, jac, x0, bounds))
 
 
 def retrace(monkeypatch, problems):
     """With scipy's SVD swapped in, the port retraces scipy's solve of each
     problem exactly: the same residual and Jacobian calls in the same order,
-    the same bits at the end.  After a stop on its cost or step tolerance
-    scipy evaluates the Jacobian once more at the point it returns, which
-    the port skips; that one call is the only difference allowed."""
+    the same bits at the end, where the port's last residual vector at the
+    returned point is scipy's ``fun``.  After a stop on its cost or step
+    tolerance scipy evaluates the Jacobian once more at the point it
+    returns, which the port skips; that one call is the only difference
+    allowed."""
     from scipy import linalg
 
     monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: linalg.svd(
@@ -128,29 +140,33 @@ def retrace(monkeypatch, problems):
         calls = {"scipy": [], "port": []}
 
         def logged(name, f):
-            return lambda v: calls[name].append((f, v.copy())) or f(v)
+            def call(v):
+                out = f(v)
+                calls[name].append((f, v.copy(), out))
+                return out
+            return call
 
-        want = optimize.least_squares(logged("scipy", fun), x0,
-                                      jac=logged("scipy", jac), bounds=bounds,
-                                      method="trf")
-        got = fitting.least_squares(logged("port", fun), x0, bounds,
-                                    jac=logged("port", jac))
-        assert got.success == want.success and got.nfev == want.nfev
-        assert np.array_equal(got.x, want.x)
-        assert np.array_equal(got.fun, want.fun)
+        want = scipy_solve(logged("scipy", fun), logged("scipy", jac), x0, bounds)
+        got = fitting.minimize(logged("port", fun), x0, bounds, logged("port", jac))
+        assert got.converged == want.success and got.evaluations == want.nfev
+        assert np.array_equal(got.parameter_vector, want.x)
+        *_, f_end = [out for f, v, out in calls["port"]
+                     if f is fun and np.array_equal(v, want.x)]
+        assert np.array_equal(np.asarray(f_end, dtype=float), want.fun)
+        assert got.objective_value == float(want.fun @ want.fun)
         if len(calls["scipy"]) == len(calls["port"]) + 1:
-            f_last, v_last = calls["scipy"].pop()
-            assert f_last is jac and np.array_equal(v_last, got.x)
+            f_last, v_last, _ = calls["scipy"].pop()
+            assert f_last is jac and np.array_equal(v_last, want.x)
         assert len(calls["port"]) == len(calls["scipy"])
-        for (f_port, v_port), (f_scipy, v_scipy) in zip(calls["port"],
-                                                        calls["scipy"]):
+        for (f_port, v_port, _), (f_scipy, v_scipy, _) in zip(calls["port"],
+                                                              calls["scipy"]):
             assert f_port is f_scipy and np.array_equal(v_port, v_scipy)
 
 
 def test_same_steps_as_scipy_given_its_svd(monkeypatch):
     problems = [p.values for p in cases()] + fit_sd_golden_problems()
     problems.append((edge, lambda v: np.eye(2), np.array([0.0, 1.0]),
-                     ([-5.0, -5.0], [5.0, 5.0])))
+                     [(-5.0, 5.0)] * 2))
     retrace(monkeypatch, problems)
 
 
