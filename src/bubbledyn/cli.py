@@ -244,10 +244,11 @@ def _run(args: argparse.Namespace):
 
 def switch_candidates_for_year(food: timeseries.TimeSeries, year: int) -> list[int]:
     """Indices of the given calendar year that lie inside the series, each
-    once, leaving out index 0."""
-    candidates = [i for i in food.indices_between((year, 1), (year + 1, 1)) if i >= 1]
+    once, leaving out index 0 and the last, from which no update is gated."""
+    candidates = [i for i in food.indices_between((year, 1), (year + 1, 1))
+                  if 1 <= i < len(food) - 1]
     if not candidates:
-        raise DataError(f"series does not cover any month of {year}")
+        raise DataError(f"no month of {year} lies strictly inside the series")
     return candidates
 
 

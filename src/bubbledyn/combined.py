@@ -134,6 +134,57 @@ def _sensitivities(k_sd: float, k_sp: float, a: float, b: float, terms: tuple,
                       [np.diff(prices[split:-1]).tolist()])
 
 
+class _Profile:
+    """One switch month's problem: for fixed (k_sd, k_sp) the path is affine
+    in a, b and the couplings (:func:`_basis`), so the month is one bounded
+    solve over (k_sd, k_sp) alone, by variable projection (Golub & Pereyra
+    1973).  The residual is the part of the data minus h that Phi's column
+    space does not hold, scaled by max|food|, the linear parameters are
+    Phi's minimum-norm least-squares solution, and the Jacobian is
+    Kaufman's (1975), the projected sensitivities of :func:`_sensitivities`.
+    ``trend`` is a fixed trend's (a, b), or None where it is fitted."""
+
+    def __init__(self, food: np.ndarray, terms: tuple, trend: Optional[tuple]):
+        self.terms, self.trend, self.at = terms, trend, None
+        self.p0, self.p1, self.observed = float(food[0]), float(food[1]), food[2:]
+        self.scale = float(np.max(np.abs(food)))
+
+    def solve(self, theta: Sequence[float]) -> _Profile:
+        """Caches the ``residual``, rank-cut ``u``, linear parameters ``lin``
+        and ``path`` at ``theta``: NaN and None where h or Phi is not finite."""
+        at = tuple(np.asarray(theta, dtype=float).tolist())
+        if at != self.at:
+            h, phi = _basis(*at, self.terms, self.trend, self.p0, self.p1)
+            gap = self.observed - h
+            self.at, self.u, self.lin, self.path = at, None, None, None
+            self.residual = np.full_like(gap, np.nan)
+            # LAPACK fails, or stalls, on non-finite entries
+            if np.isfinite(gap).all() and np.isfinite(phi).all():
+                u, s, vt = np.linalg.svd(phi, full_matrices=False)
+                # numpy's matrix_rank cut; s is in descending order
+                rank = np.count_nonzero(s > max(phi.shape) * fitting.EPS * s[:1].sum())
+                self.u = u[:, :rank]
+                coef = self.u.T @ gap
+                fitted = self.u @ coef
+                self.lin = vt[:rank].T @ (coef / s[:rank])
+                self.path = h + fitted
+                self.residual = (gap - fitted) / self.scale
+        return self
+
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        """The scaled projected residual at ``theta``."""
+        return self.solve(theta).residual
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """Kaufman's Jacobian; NaN where the residual is."""
+        if self.solve(theta).path is None:
+            return np.full((len(self.observed), 2), np.nan)
+        a, b = self.lin[:2] if self.trend is None else self.trend
+        sens = _sensitivities(*self.at, a, b, self.terms,
+                              np.concatenate(([self.p0, self.p1], self.path)))
+        return (self.u @ (self.u.T @ sens) - sens) / self.scale
+
+
 def simulate_combined(params: CombinedParams, markets: Sequence[TimeSeries],
                       p0: float, p1: float, steps: int,
                       start: Optional[tuple[int, int]] = None) -> TimeSeries:
@@ -234,20 +285,13 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     given, of the trend's a and b, with the switch month selected over
     ``switch_candidates`` by best objective.
 
-    Initial conditions come from the first two food observations.  For
-    fixed (k_sd, k_sp) the path is affine in a, b and the couplings
-    (:func:`_basis`), so each candidate month is one bounded solve over
-    (k_sd, k_sp) alone, by variable projection (Golub & Pereyra 1973): the
-    residual is the part of the data minus h that Phi's column space does
-    not hold, scaled by max|food|, the linear parameters are Phi's
-    minimum-norm least-squares solution, and the Jacobian is Kaufman's
-    (1975), the projected sensitivities of :func:`_sensitivities`.  The
-    solve starts from the one-step regression of :func:`_linear_seed`.  A
-    given ``trend`` is held fixed: the paper's two-stage fit, with the trend
-    fitted upstream outside the bubble windows.  The report is the winning
-    candidate's, except that ``evaluations`` sums the solver's ``nfev``
-    over every candidate and ``objective_value`` is the sum of squares of the
-    reported path.
+    Initial conditions come from the first two food observations.  Each
+    candidate month is one bounded solve of its :class:`_Profile`, from the
+    one-step regression of :func:`_linear_seed`.  A given ``trend`` is held
+    fixed: the paper's two-stage fit, with the trend fitted upstream outside
+    the bubble windows.  The report is the winning candidate's, except that
+    ``evaluations`` sums the solver's ``nfev`` over every candidate and
+    ``objective_value`` is the sum of squares of the reported path.
     """
     if not switch_candidates:
         raise ValueError("switch_candidates must be non-empty")
@@ -256,19 +300,17 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     fv = food.to_array()
     steps = len(fv) - 1
     arrays = _market_arrays(markets, food.start, food.frequency, steps + 1)
-    p0, p1, observed = float(fv[0]), float(fv[1]), fv[2:]
     # r2 is undefined on a constant series; no solve can change that
     if np.all(fv == fv[0]):
         raise DegenerateInputError("constant observed series")
-    scale = float(np.max(np.abs(fv)))
     fixed = None if trend is None else (trend.a, trend.b)
     lo, hi = np.array(BOX).T
 
     best = None
     evaluations = 0
     for switch in switch_candidates:
-        if switch < 1:
-            raise ValueError("switch candidates must be >= 1")
+        if not 1 <= switch < steps:
+            raise ValueError("switch candidates must lie in 1..len(food) - 2")
         terms = _model_terms(arrays, steps, switch)
         seed = _linear_seed(fv, terms, trend)
         # a seed coordinate outside the box takes the fallback's: clipped to
@@ -276,54 +318,21 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
         # crawl away from a bound (a wrong switch month often gives k_sd < 0)
         start = (np.array(FALLBACK) if seed is None else
                  np.where((lo <= seed) & (seed <= hi), seed, FALLBACK))
-
-        # the projection at the (k_sd, k_sp) of the last residual call, where
-        # the solver asks for the Jacobian next
-        last = {"at": None}
-
-        def residuals(theta: np.ndarray, terms=terms, last=last) -> np.ndarray:
-            h, phi = _basis(*theta.tolist(), terms, fixed, p0, p1)
-            gap = observed - h
-            last.update(at=tuple(theta.tolist()), path=None)
-            # LAPACK fails, or stalls, on non-finite entries
-            if not (np.isfinite(gap).all() and np.isfinite(phi).all()):
-                return np.full_like(gap, np.nan)
-            u, s, vt = np.linalg.svd(phi, full_matrices=False)
-            # numpy's matrix_rank cut; s is in descending order
-            rank = np.count_nonzero(s > max(phi.shape) * fitting.EPS * s[:1].sum())
-            u = u[:, :rank]
-            coef = u.T @ gap
-            fitted = u @ coef
-            last.update(u=u, lin=vt[:rank].T @ (coef / s[:rank]),
-                        path=h + fitted)
-            return (gap - fitted) / scale
-
-        def jacobian(theta: np.ndarray, terms=terms, last=last) -> np.ndarray:
-            if tuple(theta.tolist()) != last["at"]:
-                residuals(theta)
-            if last["path"] is None:
-                return np.full((len(observed), 2), np.nan)
-            a, b = last["lin"][:2] if fixed is None else fixed
-            sens = _sensitivities(*theta.tolist(), a, b, terms,
-                                  np.concatenate(([p0, p1], last["path"])))
-            u = last["u"]
-            return (u @ (u.T @ sens) - sens) / scale
-
-        report = fitting.minimize(residuals, start, BOX, jacobian)
+        month = _Profile(fv, terms, fixed)
+        report = fitting.minimize(month.residuals, start, BOX, month.jacobian)
         evaluations += report.evaluations
         if best is None or report.objective_value < best[1].objective_value:
-            best = (switch, report, residuals, last)
+            best = (switch, report, month)
 
-    switch, report, residuals, last = best
-    # the linear parameters at the winning (k_sd, k_sp)
-    residuals(np.array(report.parameter_vector))
-    lin = last["lin"].tolist()
+    switch, report, month = best
+    # a cache hit where the solve's last residual call was at its end point
+    lin = month.solve(report.parameter_vector).lin.tolist()
     (trend_a, trend_b), couplings = ((lin[:2], lin[2:]) if fixed is None
                                      else (fixed, lin))
     params = CombinedParams(*report.parameter_vector, couplings=tuple(couplings),
                             trend_a=trend_a, trend_b=trend_b,
                             switch_index=switch)
-    path = replace(simulate_combined(params, markets, p0, p1, steps, food.start),
+    path = replace(simulate_combined(params, markets, fv[0], fv[1], steps, food.start),
                    label="fitted price")
     sse = float(np.sum((fv - path.to_array()) ** 2))
     if not np.isfinite(sse):

@@ -288,8 +288,8 @@ def r_squared(observed: TimeSeries, modeled: TimeSeries) -> float:
     obs, mod = map(np.asarray, align(observed, modeled)[:2])
     if len(obs) < 2:
         raise DegenerateInputError("need at least 2 observations")
-    sst = float(np.sum((obs - obs.mean()) ** 2))
-    if sst == 0.0:
+    if np.all(obs == obs[0]):
         raise DegenerateInputError("constant observed series")
+    sst = float(np.sum((obs - obs.mean()) ** 2))
     sse = float(np.sum((obs - mod) ** 2))
     return 1.0 - sse / sst

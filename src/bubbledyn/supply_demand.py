@@ -164,7 +164,7 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
         var_q = float(np.var(qv))
     if not (math.isfinite(var_p) and math.isfinite(var_q)):
         raise DomainError("the variance of the observed series overflows")
-    if var_p == 0 or var_q == 0:
+    if np.all(pv == pv[0]) or np.all(qv == qv[0]):
         raise DegenerateInputError("constant observed series")
     p0_raw, q0_raw = float(pv[0]), float(qv[0])
     scale_p = 1.0 / np.sqrt(var_p * len(pv))

@@ -507,6 +507,23 @@ class TestErrorContract:
         assert errors[0] == errors[1] == {"error": "constant observed series",
                                           "type": "DegenerateInputError"}
 
+    def test_constant_fit_sd_prices_with_inexact_mean(self, capsys, tmp_path):
+        """Prices of 0.1, whose mean is not exact in binary, are as constant
+        as prices of 100.0: the same exit code and the same error line."""
+        write_annual_csv(tmp_path / "q.csv", [100.0 + t for t in range(15)])
+        write_annual_csv(tmp_path / "s.csv", [(-1.0) ** t for t in range(15)])
+        outcomes = []
+        for level in (0.1, 100.0):
+            write_annual_csv(tmp_path / "p.csv", [level] * 15)
+            outcomes.append(run(capsys, "fit-sd", "--price", str(tmp_path / "p.csv"),
+                                "--consumption", str(tmp_path / "q.csv"),
+                                "--surplus", str(tmp_path / "s.csv")))
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert code == EXIT_DATA and out == ""
+        assert json.loads(err) == {"error": "constant observed series",
+                                   "type": "DegenerateInputError"}
+
     def test_nan_parameter_is_named(self, capsys):
         got, _, err = run(capsys, *"simulate-spec --ksd nan --kc 1 --p0 1 "
                                    "--steps 5".split())
@@ -638,6 +655,13 @@ class TestHelpers:
         food = monthly(range(88), start=(2004, 1))
         assert switch_candidates_for_year(food, 2007) == list(range(36, 48))
 
+    def test_switch_candidates_leave_out_the_last_month(self):
+        # no update follows the last month, so none is gated from it
+        through_2007 = monthly(range(48), start=(2004, 1))
+        assert switch_candidates_for_year(through_2007, 2007) == list(range(36, 47))
+        with pytest.raises(DataError, match="no month of 2008 lies strictly inside"):
+            switch_candidates_for_year(monthly(range(49), start=(2004, 1)), 2008)
+
 
 class TestCalendarHelpers:
     """The CLI's calendar spans against a walk over every calendar month."""
@@ -649,7 +673,7 @@ class TestCalendarHelpers:
         expected = []
         for date in month_walk((switch_year, 1), (switch_year + 1, 1)):
             index = ordinal(date, food.frequency) - food.start_ordinal
-            if 1 <= index < n:
+            if 1 <= index < n - 1:
                 expected.append(index)
         if expected:
             assert switch_candidates_for_year(food, switch_year) == expected

@@ -120,6 +120,11 @@ class TestSimulateCombined:
             simulate_combined(CombinedParams(0.2, 0.0, (-1.0,), 100.0, 0.0, 5),
                               [], 100.0, 100.0, 10)
 
+    def test_steps_below_two_rejected(self):
+        with pytest.raises(ValueError, match="steps"):
+            simulate_combined(CombinedParams(0.2, 0.0, (), 100.0, 0.0, 5),
+                              [], 100.0, 100.0, 1)
+
 
 class TestBackgroundTrend:
     def test_recovers_quadratic_through_bubble(self):
@@ -284,6 +289,53 @@ class TestExactJacobian:
             step[i] = 1e-6
             want = (residuals(truth + step) - residuals(truth - step)) / 2e-6
             assert np.max(np.abs(jac[:, i] - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+class TestProfile:
+    """One switch month's variable-projection problem, used from outside
+    :func:`fit_combined`."""
+
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_one_basis_per_evaluation(self, monkeypatch, joint):
+        """The winner's linear parameters come from the solve's cache, so
+        the basis is built once per residual call the solves count."""
+        calls = []
+        real = combined._basis
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(combined, "_basis", spy)
+        food, markets = make_food()
+        trend = (None if joint else
+                 QuadraticTrend(a=TRUTH["trend_a"], b=TRUTH["trend_b"],
+                                r_squared=1.0))
+        fit = fit_combined(food, markets, trend, switch_candidates=range(36, 48))
+        assert len(calls) == fit.report.evaluations
+
+    def test_linear_parameters_at_the_truth(self):
+        food, markets = make_food(88, BOUNDED)
+        terms = combined._model_terms([m.to_array() for m in markets], 87, 40)
+        truth = (BOUNDED["k_sd"], BOUNDED["k_sp"])
+        trend = (BOUNDED["trend_a"], BOUNDED["trend_b"])
+        for given, want in ((None, trend + BOUNDED["couplings"]),
+                            (trend, BOUNDED["couplings"])):
+            month = combined._Profile(food.to_array(), terms, given)
+            assert month.solve(truth).lin == pytest.approx(want, rel=1e-8)
+            assert month.solve(np.array(truth)) is month
+
+    def test_non_finite_basis_gives_nan(self):
+        food = 105.0 + 0.01 * np.arange(88.0) ** 2
+        market = np.array([1.7e308 * (-1) ** t for t in range(88)])
+        theta = np.array([0.3, 0.6])
+        with np.errstate(all="ignore"):
+            month = combined._Profile(
+                food, combined._model_terms([market], 87, 40), None)
+            assert np.isnan(month.residuals(theta)).all()
+            jac = month.jacobian(theta)
+        assert jac.shape == (86, 2) and np.isnan(jac).all()
+        assert month.lin is None and month.path is None
 
 
 class TestFitCombined:
@@ -478,6 +530,18 @@ class TestFitCombined:
         sim = simulate_combined(fit.params, markets, fv[0], fv[1], len(fv) - 1,
                                 start=noisy.start)
         assert fit.path.values == sim.values
+
+    def test_short_food_rejected(self):
+        with pytest.raises(DegenerateInputError, match="too short"):
+            fit_combined(monthly([105.0, 105.5, 106.0]), [], switch_candidates=[1])
+
+    @pytest.mark.parametrize("switch", [0, 87, 200])
+    def test_switch_without_a_gated_update_rejected(self, switch):
+        """Months below 1, and on 88 months those from 87 on, where no
+        update is gated, so k_sp and the couplings would never act."""
+        food, markets = make_food(88, BOUNDED)
+        with pytest.raises(ValueError, match="switch candidates"):
+            fit_combined(food, markets, switch_candidates=[switch])
 
     def test_empty_candidates_rejected(self):
         food, markets = make_food(40)

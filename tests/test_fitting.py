@@ -213,6 +213,13 @@ class TestRSquared:
         with pytest.raises(DegenerateInputError):
             r_squared(obs, obs.with_values([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("level", [0.1, 1 / 3, 0.7])
+    def test_constant_observed_with_inexact_mean(self, level):
+        # the mean of 88 such values is not the value, so sst is not 0
+        obs = annual([level] * 88)
+        with pytest.raises(DegenerateInputError, match="constant"):
+            r_squared(obs, obs.with_values([0.2] * 88))
+
     def test_common_affine_invariance(self):
         obs = annual([1.0, 2.0, 5.0, 3.0])
         modeled = obs.with_values([1.2, 1.8, 4.9, 3.4])
