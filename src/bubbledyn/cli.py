@@ -252,6 +252,20 @@ def switch_candidates_for_year(food: timeseries.TimeSeries, year: int) -> list[i
     return candidates
 
 
+def _emit(result, fmt: str, output) -> None:
+    """Emit to the ``-o`` file or to stdout.  A reader that closed stdout
+    ends the command quietly, as a Unix filter does; any other failed write
+    to stdout (a full device, say) is a DataError, as it is for a file.
+    Either way the interpreter's own flush at exit then writes to /dev/null."""
+    try:
+        data_io.emit(result, fmt, sys.stdout if output is None else output)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout's: emit reports a file's own as DataError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise DataError(f"cannot write <stdout>: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -260,14 +274,7 @@ def main(argv=None) -> int:
         # surfaces as the error it leads to, reported as one JSON line
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            data_io.emit(_run(args), args.format,
-                         sys.stdout if args.output is None else args.output)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: end quietly, as a Unix filter does; the
-        # interpreter's own flush at exit then writes to /dev/null
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+            _emit(_run(args), args.format, args.output)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
         # a MemoryError raised by the interpreter carries no message

@@ -47,51 +47,50 @@ def load_series(path: Union[str, Path], frequency: Frequency, label: str = "",
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    values = []
     try:
         # utf-8-sig drops the byte-order mark that some editors write first
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # a repeated name keeps its last column, as csv.DictReader does
+            column = {name: i for i, name in enumerate(header)}
+            if "date" not in column or "value" not in column:
+                raise DataError(f"{path}: missing column(s) 'date'/'value'")
+            for fields in filter(None, reader):  # a blank line gives []
+                row_no = reader.line_num  # the row's last file line
+                if len(fields) != len(header):
+                    raise DataError(f"{path} row {row_no}: field count differs "
+                                    "from the header's")
+                date = _parse_date(fields[column["date"]], frequency, path, row_no)
+                cell = fields[column["value"]]
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                # float() also takes the digit separators of Python literals
+                if "_" in cell or not math.isfinite(value):
+                    raise DataError(f"{path} row {row_no}: non-finite or "
+                                    f"non-numeric value {cell!r}")
+                at = ordinal(date, frequency)
+                if not values:
+                    start = date
+                elif at != previous + 1:
+                    raise DataError(f"{path} row {row_no}: " + (
+                        "duplicate date" if at == previous else
+                        "dates not increasing" if at < previous else
+                        "gap before this date"))
+                previous = at
+                values.append(value)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    dates = []
-    values = []
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or "date" not in reader.fieldnames \
-            or "value" not in reader.fieldnames:
-        raise DataError(f"{path}: missing column(s) 'date'/'value'")
-    for row in reader:
-        row_no = reader.line_num  # the file line, blank lines counted
-        # DictReader keys extra fields by None and fills missing ones with None
-        if None in row or None in row.values():
-            raise DataError(f"{path} row {row_no}: field count differs from "
-                            "the header's")
-        date = _parse_date(row["date"], frequency, path, row_no)
-        cell = row["value"]
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
-        # float() also takes the digit separators of Python literals
-        if "_" in cell or not math.isfinite(value):
-            raise DataError(f"{path} row {row_no}: non-finite or non-numeric "
-                            f"value {cell!r}")
-        if dates:
-            gap = ordinal(date, frequency) - ordinal(dates[-1], frequency)
-            if gap == 0:
-                raise DataError(f"{path} row {row_no}: duplicate date")
-            if gap < 0:
-                raise DataError(f"{path} row {row_no}: dates not increasing")
-            if gap > 1:
-                raise DataError(f"{path} row {row_no}: gap before this date")
-        dates.append(date)
-        values.append(value)
     if not values:
         raise DataError(f"{path}: no data rows")
     if inverse:
         if any(v <= 0 for v in values):
             raise DomainError(f"{path}: inverse transform requires positive values")
         values = [1.0 / v for v in values]
-    return TimeSeries(dates[0], frequency, tuple(values), label)
+    return TimeSeries(start, frequency, tuple(values), label)
 
 
 def derive_surplus(production: TimeSeries, consumption: TimeSeries) -> TimeSeries:

@@ -524,6 +524,21 @@ class TestErrorContract:
         assert json.loads(err) == {"error": "constant observed series",
                                    "type": "DegenerateInputError"}
 
+    @pytest.mark.parametrize("text", [
+        "date,value\n2004-01," + "1" * 200_000 + "\n",
+        "date,value," + "x" * 200_000 + "\n2004-01,1,2\n",
+    ], ids=["cell", "header"])
+    def test_field_over_the_csv_limit_is_data_error(self, capsys, tmp_path, text):
+        f = tmp_path / "big.csv"
+        f.write_text(text)
+        got, out, err = run(capsys, "correlate", "--frequency", "monthly",
+                            "--a", str(f), "--b", str(f))
+        assert got == EXIT_DATA
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": f"cannot read {f}: field larger than field limit (131072)",
+            "type": "DataError"}
+
     def test_nan_parameter_is_named(self, capsys):
         got, _, err = run(capsys, *"simulate-spec --ksd nan --kc 1 --p0 1 "
                                    "--steps 5".split())
@@ -594,6 +609,31 @@ class TestClosedStdout:
         os.close(write)
         assert proc.wait(timeout=120) == EXIT_OK
         assert (tmp_path / "err").read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestFullStdout:
+    """A stdout that cannot take the output (a full device) is a data error:
+    exit 3, one JSON line on stderr and nothing more, buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_exits_3_with_one_error_line(self, tmp_path, unbuffered):
+        write_series_csv(tmp_path / "a.csv", [1.0, 3.0, 2.0])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bubbledyn.cli", "correlate",
+                 "--frequency", "monthly", "--a", "a.csv", "--b", "a.csv"],
+                stdout=full, stderr=subprocess.PIPE, cwd=tmp_path, timeout=120,
+                env={**env, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == EXIT_DATA
+        assert json.loads(proc.stderr) == {
+            "error": "cannot write <stdout>: [Errno 28] No space left on device",
+            "type": "DataError"}
+        assert proc.stderr.count(b"\n") == 1
 
 
 class TestFitCombinedOverflow:

@@ -73,7 +73,10 @@ class TestLoadSeries:
         ("date,value,note\n2004-01,1,a\n2004-02,2\n", "row 3: field count"),
         ("date,value\n2004-01,1\n\n\n2004-02,x\n", "row 5: non-finite"),
         ("date,value\n\n2004-01,1\n\n2004-03,2\n", "row 5: gap"),
-    ], ids=["short", "extra", "short-of-three", "bad-after-blanks", "gap-after-blanks"])
+        # a quoted cell that spans lines is named by its last line
+        ('date,value\n2004-01,"1\n2"\n2004-02,3\n', "row 3: non-finite"),
+    ], ids=["short", "extra", "short-of-three", "bad-after-blanks", "gap-after-blanks",
+            "multi-line-cell"])
     def test_row_errors_name_the_file_line(self, tmp_path, text, error):
         f = tmp_path / "s.csv"
         f.write_text(text)
@@ -124,6 +127,32 @@ class TestLoadSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_series(tmp_path / "nope.csv", Frequency.MONTHLY)
+
+    def test_repeated_column_keeps_the_last(self, tmp_path):
+        # as csv.DictReader does; the row length is still the header's
+        f = tmp_path / "s.csv"
+        write_csv(f, ["2004-01,1,5", "2004-02,2,6", "2004-03,3,8"],
+                  header="date,value,value")
+        assert load_series(f, Frequency.MONTHLY).values == (5.0, 6.0, 8.0)
+
+    def test_blank_first_line_is_an_empty_header(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("\ndate,value\n2004-01,1\n")
+        with pytest.raises(DataError, match="missing column\\(s\\) 'date'/'value'"):
+            load_series(f, Frequency.MONTHLY)
+
+    @pytest.mark.parametrize("text", [
+        "date,value\n2004-01," + "1" * 200_000 + "\n",
+        "date,value," + "x" * 200_000 + "\n2004-01,1,2\n",
+    ], ids=["cell", "header"])
+    def test_field_over_the_csv_limit(self, tmp_path, text):
+        # the csv module refuses a field of more than 131,072 characters
+        f = tmp_path / "s.csv"
+        f.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_series(f, Frequency.MONTHLY)
+        assert str(info.value) == \
+            f"cannot read {f}: field larger than field limit (131072)"
 
 
 class TestDeriveSurplus:
