@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import warnings
-from pathlib import Path
 
 from . import data_io, timeseries
 from .errors import BubbledynError, DataError, FitError
@@ -33,22 +32,18 @@ _EXIT_CODES = ((FitError, EXIT_FIT), (BubbledynError, EXIT_DATA),
 DATA_DIR_ENV = "BUBBLEDYN_DATA_DIR"
 
 
-def _resolve(path: str) -> Path:
-    p = Path(path)
-    if p.exists():
-        return p
-    root = os.environ.get(DATA_DIR_ENV)
-    if root:
-        candidate = Path(root) / path
-        if candidate.exists():
-            return candidate
-    return p
-
-
 def _load(path: str, frequency: Frequency, label: str = "") -> timeseries.TimeSeries:
+    """Load ``path`` as given or, where only ``$BUBBLEDYN_DATA_DIR`` holds
+    it, from there; a ``:inverse`` suffix loads 1/value."""
     inverse = path.endswith(":inverse")
-    return data_io.load_series(_resolve(path.removesuffix(":inverse")),
-                               frequency, label, inverse)
+    path = path.removesuffix(":inverse")
+    root = os.environ.get(DATA_DIR_ENV)
+    # os.path.exists returns False, not raises, for a name the OS rejects
+    if root and not os.path.exists(path):
+        candidate = os.path.join(root, path)
+        if os.path.exists(candidate):
+            path = candidate
+    return data_io.load_series(path, frequency, label, inverse)
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:

@@ -45,8 +45,6 @@ def load_series(path: Union[str, Path], frequency: Frequency, label: str = "",
     TimeSeries; other columns are ignored.  ``inverse`` loads 1/value, which
     requires every value to be positive."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     values = []
     try:
         # utf-8-sig drops the byte-order mark that some editors write first
@@ -82,7 +80,10 @@ def load_series(path: Union[str, Path], frequency: Frequency, label: str = "",
                         "gap before this date"))
                 previous = at
                 values.append(value)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise DataError(f"no such file: {path}") from exc
+    # ValueError: bytes that are not UTF-8, or a NUL in the name
+    except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not values:
         raise DataError(f"{path}: no data rows")

@@ -386,6 +386,8 @@ class TestErrorContract:
         ("simulate-spec --ksd 0.5 --ksp 0.2 --kc 1 --p0 1 "
          "--steps 1000000000000000", EXIT_USAGE),
         ("phase --ksd 0:1:1000000000000000 --ksp 0:1:3", EXIT_USAGE),
+        # a name the OS rejects as too long cannot be read
+        (f"correlate --a {'a' * 300} --b m60.csv --frequency monthly", EXIT_DATA),
     ])
     def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                     argv, code):
@@ -417,6 +419,8 @@ class TestErrorContract:
     @pytest.mark.parametrize("argv", [
         "correlate --a x --b y --format csv",
         "phase --ksd 0:5 --ksp 0:2:10",
+        "phase --ksd a:5:3 --ksp 0:1:2",
+        "fit-ethanol --ethanol e.csv --food f.csv --exclude 1:2:3",
     ])
     def test_usage_error_is_one_json_line(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -670,6 +674,26 @@ class TestDataDirEnvVar:
                            "--frequency", "monthly")
         assert code == EXIT_OK
         assert json.loads(out)["rho"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("data_dir", [False, True])
+    @pytest.mark.parametrize("length", [300, 5000])
+    def test_name_the_os_rejects_is_data_error(self, capsys, tmp_path,
+                                                monkeypatch, data_dir, length):
+        # the data directory is tried for a name that does not exist, and
+        # this one cannot: the OS rejects it as too long
+        write_series_csv(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+        monkeypatch.chdir(tmp_path)
+        if data_dir:
+            monkeypatch.setenv("BUBBLEDYN_DATA_DIR", str(tmp_path))
+        else:
+            monkeypatch.delenv("BUBBLEDYN_DATA_DIR", raising=False)
+        name = "a" * length
+        code, out, err = run(capsys, "correlate", "--a", name, "--b", "a.csv",
+                             "--frequency", "monthly")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["type"] == "DataError" and name in error["error"]
 
 
 class TestHelpReflection:

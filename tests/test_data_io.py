@@ -128,6 +128,17 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="no such file"):
             load_series(tmp_path / "nope.csv", Frequency.MONTHLY)
 
+    @pytest.mark.parametrize("name, message", [
+        ("a" * 300, "cannot read {}: "),  # a name the OS rejects as too long
+        ("s.csv/x", "no such file: {}"),  # a path through a file
+        ("s\0.csv", "cannot read {}: "),  # a name no path can hold
+    ], ids=["too-long", "through-a-file", "nul"])
+    def test_path_that_cannot_be_opened(self, tmp_path, name, message):
+        write_csv(tmp_path / "s.csv", ["2004-01,1"])
+        with pytest.raises(DataError) as exc:
+            load_series(tmp_path / name, Frequency.MONTHLY)
+        assert str(exc.value).startswith(message.format(tmp_path / name))
+
     def test_repeated_column_keeps_the_last(self, tmp_path):
         # as csv.DictReader does; the row length is still the header's
         f = tmp_path / "s.csv"

@@ -108,6 +108,13 @@ class TestTrendComparison:
         assert report.trend_b.b == pytest.approx(report.trend_a.b, rel=1e-6)
         assert report.rho == pytest.approx(1.0, abs=1e-9)
 
+    def test_short_overlap_rejected(self):
+        # six years each, three of them shared
+        values = [1.0 + 0.1 * t * t for t in range(6)]
+        with pytest.raises(DegenerateInputError, match=">= 4 points"):
+            trend_comparison(annual(values, start=(1990, 1)),
+                             annual(values, start=(1993, 1)))
+
     def test_serializable(self):
         import json
 

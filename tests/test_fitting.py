@@ -208,6 +208,11 @@ class TestRSquared:
         modeled = obs.with_values([1.0, 2.0, 4.0])
         assert r_squared(obs, modeled) == pytest.approx(0.5)
 
+    def test_one_observation_degenerate(self):
+        obs = annual([2.0])
+        with pytest.raises(DegenerateInputError, match="at least 2"):
+            r_squared(obs, obs)
+
     def test_constant_observed_degenerate(self):
         obs = annual([2.0, 2.0, 2.0])
         with pytest.raises(DegenerateInputError):

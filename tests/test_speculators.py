@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubbledyn import (Regime, SpeculatorParams, classify,
+from bubbledyn import (DegenerateInputError, Regime, SpeculatorParams, classify,
                        closed_form_first_order, closed_form_second_order,
                        oscillation_theta, phase_grid, simulate_first_order,
                        simulate_second_order)
@@ -27,6 +27,24 @@ def relative_gap(sim: np.ndarray, cf: np.ndarray) -> float:
 def test_params_reject_nan(name):
     with pytest.raises(ValueError, match=name):
         SpeculatorParams(**{"k_sd": 0.5, "k_sp": 0.5, "k_c": 1.0, name: math.nan})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda p: simulate_first_order(p, 1.0, 0), ValueError,
+                 "steps must be >= 1", id="first-order-steps"),
+    pytest.param(lambda p: simulate_second_order(p, 1.0, 1.0, 1), ValueError,
+                 "steps must be >= 2", id="second-order-steps"),
+    pytest.param(lambda p: closed_form_first_order(p, 1.0, -1), ValueError,
+                 "t must be >= 0", id="first-order-t"),
+    pytest.param(lambda p: closed_form_second_order(p, 1.0, -1), ValueError,
+                 "t must be >= 0", id="second-order-t"),
+    # real roots: (1 + k_sp - k_sd)**2 = 0.2601 > 4 k_sp = 0.04
+    pytest.param(lambda p: oscillation_theta(0.5, 0.01), DegenerateInputError,
+                 "theta undefined", id="theta-real-roots"),
+])
+def test_argument_out_of_range(call, error, message):
+    with pytest.raises(error, match=message):
+        call(SpeculatorParams(0.5, 0.2, 1.0))
 
 
 class TestFirstOrder:

@@ -265,6 +265,12 @@ class TestFit:
                               annual([5.0, 6.0, 7.0]),
                               annual([0.0, 1.0, -1.0]))
 
+    def test_non_positive_price_rejected(self):
+        with pytest.raises(DomainError, match="must be positive"):
+            fit_supply_demand(annual([10.0, 11.0, 0.0, 12.0, 13.0]),
+                              annual([5.0, 6.0, 7.0, 8.0, 9.0]),
+                              annual([0.0, 1.0, -1.0, 0.5, -0.5]))
+
 
 def benchmark_problem(rng, noise):
     """Price, consumption and surplus of 20 years drawn as the benchmark's

@@ -331,8 +331,8 @@ class TestLaggedCrossCorrelation:
 
 
 def _records():
-    """Each record class with valid fields, a valid change of one field, a
-    change its ``__post_init__`` rejects (None where it validates nothing),
+    """Each record class with valid fields, a valid change of one field, the
+    changes its ``__post_init__`` rejects (none where it validates nothing),
     and the values of the fields left to their defaults."""
     from bubbledyn import (CombinedFit, CombinedParams, EquilibriumPath,
                            FitReport, LagScan, PhaseGrid, QuadraticTrend,
@@ -350,40 +350,41 @@ def _records():
                                   Regime.AMPLIFIED_OSCILLATION, False, 23.7)
     cases = [
         (Window, {"begin_index": 1, "end_index": 4}, {"end_index": 5},
-         {"end_index": 1}, {}),
+         [{"end_index": 1}, {"begin_index": -1}], {}),
         (TimeSeries, {"start": (2004, 1), "frequency": Frequency.MONTHLY,
                       "values": (1.0, 2.0), "label": ""},
-         {"label": "price"}, {"values": (1.0, math.nan)}, {"label": ""}),
+         {"label": "price"}, [{"values": (1.0, math.nan)}, {"start": (2004, 13)}],
+         {"label": ""}),
         (LagScan, {"entries": ((0, 0.5),), "omitted": ()}, {"omitted": (1,)},
-         None, {"omitted": ()}),
+         [], {"omitted": ()}),
         (QuadraticTrend, {"a": 1.0, "b": 0.5, "r_squared": 0.9},
-         {"b": 0.25}, {"r_squared": 1.5}, {}),
+         {"b": 0.25}, [{"r_squared": 1.5}], {}),
         (TrendComparison, {"trend_a": trend, "trend_b": trend,
                            "coefficient_gap": 0.0, "rho": 0.9},
-         {"rho": 0.8}, None, {}),
+         {"rho": 0.8}, [], {}),
         (FitReport, {"parameter_vector": (0.1, 1.2), "objective_value": 0.5,
                      "evaluations": 7, "converged": True},
-         {"evaluations": 8}, None, {}),
+         {"evaluations": 8}, [], {}),
         (SpeculatorParams, {"k_sd": 0.1, "k_sp": 1.2, "k_c": 9.8},
-         {"k_c": 1.0}, {"k_sd": -1.0}, {}),
-        (RegimeClassification, vars(regime), {"convergent": True}, None,
+         {"k_c": 1.0}, [{"k_sd": -1.0}], {}),
+        (RegimeClassification, vars(regime), {"convergent": True}, [],
          {"period": None}),
         (PhaseGrid, {"k_sd_axis": (0.1, 0.2), "k_sp_axis": (1.2,),
                      "discriminant": (-0.5, -0.4),
                      "labels": (Regime.AMPLIFIED_OSCILLATION,) * 2,
                      "convergent": (False, False), "period": (23.7, 20.1)},
-         {"period": (None, None)}, None, {}),
-        (SupplyDemandParams, vars(sd), {"lam": 0.5}, {"beta_d": -1.0}, {}),
-        (EquilibriumPath, vars(path), {"intercept_trace": ()}, None, {}),
+         {"period": (None, None)}, [], {}),
+        (SupplyDemandParams, vars(sd), {"lam": 0.5}, [{"beta_d": -1.0}], {}),
+        (EquilibriumPath, vars(path), {"intercept_trace": ()}, [], {}),
         (SupplyDemandFit, {"params": sd, "report": report, "r2_price": 0.9,
                            "r2_consumption": 0.8, "residual_price": series,
                            "residual_consumption": series, "path": path},
-         {"r2_price": 0.7}, None, {}),
-        (CombinedParams, vars(params), {"couplings": ()}, {"switch_index": 0}, {}),
+         {"r2_price": 0.7}, [], {}),
+        (CombinedParams, vars(params), {"couplings": ()}, [{"switch_index": 0}], {}),
         (CombinedFit, {"params": params, "report": report, "sse": 0.5, "r2": 0.9,
                        "path": series, "switch_date": (2007, 5), "regime": regime,
                        "trend_mode": "fixed"},
-         {"trend_mode": "joint"}, None, {}),
+         {"trend_mode": "joint"}, [], {}),
     ]
     return [pytest.param(*case, id=case[0].__name__) for case in cases]
 
@@ -411,11 +412,11 @@ class TestRecord:
         changed = replace(record, **change)
         assert changed == cls(**{**fields, **change}) and changed != record
         assert record != tuple(fields.values())
-        if bad is not None:
+        for bad_change in bad:
             with pytest.raises(ValueError):
-                replace(record, **bad)
+                replace(record, **bad_change)
             with pytest.raises(ValueError):
-                cls(**{**fields, **bad})
+                cls(**{**fields, **bad_change})
 
     def test_replace_reruns_post_init(self):
         s = replace(monthly([1.0, 2.0]), values=[3, 4], start=(2005.0, 2))

@@ -84,6 +84,13 @@ def edge(v):
     return np.array([v[0] - 2.0, v[1]]) if v[0] <= 1.0 else np.array([np.nan] * 2)
 
 
+def linear(A, b, w=0.0):
+    """The residuals A x - b + w sin(x_1 + ... + x_n) and their Jacobian."""
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    return (lambda v: A @ v - b + w * np.sin(v.sum()),
+            lambda v: A + w * np.cos(v.sum()))
+
+
 def cases():
     # the golden fit's own start, (lambda, beta_d, beta_s) = (0.9, 1, 0.3)
     fun, jac, x0, bounds = fit_sd_golden_problems()[FIT_SD_GRID.index((0.9, 1.0, 0.3))]
@@ -167,6 +174,21 @@ def test_same_steps_as_scipy_given_its_svd(monkeypatch):
     problems = [p.values for p in cases()] + fit_sd_golden_problems()
     problems.append((edge, lambda v: np.eye(2), np.array([0.0, 1.0]),
                      [(-5.0, 5.0)] * 2))
+    # each reaches a branch of the solve that no problem above reaches
+    problems += [
+        # a trial point on a bound, which the solve moves one ulp inside
+        (*linear([[-1]], [-70]), np.array([3.0]), [(1.0, 3.0)]),
+        # one residual in two variables: a rank-deficient scaled Jacobian
+        (*linear([[-3, -3]], [-7]), np.array([1.0, -2.0]),
+         [(1.0, 3.0), (-2.0, 2.0)]),
+        # the trust-region step cut short of the box beats both its
+        # reflection and the Cauchy step
+        (*linear([[-2, -3], [-2, 2]], [400, -300]), np.array([0.0, -4.0]),
+         [(0.0, 2.0), (-4.0, -2.0)]),
+        # a step whose predicted reduction is not positive
+        (*linear([[-3, 0]], [-90], w=-1.0), np.array([5.0, 5.0]),
+         [(4.0, 6.0), (3.0, 5.0)]),
+    ]
     retrace(monkeypatch, problems)
 
 
