@@ -243,9 +243,10 @@ class CombinedFit:
 
 
 def _linear_seed(food: np.ndarray, terms: tuple,
-                 trend: Optional[QuadraticTrend]) -> Optional[np.ndarray]:
+                 trend: Optional[tuple[float, float]]) -> Optional[np.ndarray]:
     """One-step-ahead regression estimate of (k_sd, k_sp), or None where
-    the regression has non-finite terms or no solution.
+    the regression has non-finite terms or no solution.  ``trend`` is a
+    fixed trend's (a, b), or None where it is fitted.
 
     Evaluated on the observed path the recurrence is linear in the
     parameters once its trend forcing is written c0 + c1*t**2 + c2(2t+1),
@@ -259,9 +260,10 @@ def _linear_seed(food: np.ndarray, terms: tuple,
         design = np.column_stack([-cur, gate * (cur - prev), *gated_diffs,
                                   np.ones_like(t2), t2, lag])
     else:
-        design = np.column_stack([trend.a + trend.b * t2 - cur,
-                                  gate * (cur - prev), *gated_diffs])
-        target = target - trend.b * lag
+        a, b = trend
+        design = np.column_stack([a + b * t2 - cur, gate * (cur - prev),
+                                  *gated_diffs])
+        target = target - b * lag
     # LAPACK fails, or stalls, on non-finite entries
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
         return None
@@ -289,13 +291,13 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     candidate month is one bounded solve of its :class:`_Profile`, from the
     one-step regression of :func:`_linear_seed`.  A given ``trend`` is held
     fixed: the paper's two-stage fit, with the trend fitted upstream outside
-    the bubble windows.  The report is the winning candidate's, except that
-    ``evaluations`` sums the solver's ``nfev`` over every candidate and
-    ``objective_value`` is the sum of squares of the reported path.
+    the bubble windows.  The report is the winning candidate's solve, except
+    that ``evaluations`` sums the solver's ``nfev`` over every candidate.
     """
     if not switch_candidates:
         raise ValueError("switch_candidates must be non-empty")
-    if len(food) < 4:
+    # the residuals, one per value after the first two, outnumber the parameters
+    if len(food) - 2 <= 2 + 2 * (trend is None) + len(markets):
         raise DegenerateInputError("food series too short")
     fv = food.to_array()
     steps = len(fv) - 1
@@ -303,28 +305,25 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     # r2 is undefined on a constant series; no solve can change that
     if np.all(fv == fv[0]):
         raise DegenerateInputError("constant observed series")
+    if not all(1 <= switch < steps for switch in switch_candidates):
+        raise ValueError("switch candidates must lie in 1..len(food) - 2")
     fixed = None if trend is None else (trend.a, trend.b)
     lo, hi = np.array(BOX).T
 
-    best = None
-    evaluations = 0
+    solves = []
     for switch in switch_candidates:
-        if not 1 <= switch < steps:
-            raise ValueError("switch candidates must lie in 1..len(food) - 2")
         terms = _model_terms(arrays, steps, switch)
-        seed = _linear_seed(fv, terms, trend)
+        seed = _linear_seed(fv, terms, fixed)
         # a seed coordinate outside the box takes the fallback's: clipped to
         # the bound, it would start the reflective steps there, and they
         # crawl away from a bound (a wrong switch month often gives k_sd < 0)
         start = (np.array(FALLBACK) if seed is None else
                  np.where((lo <= seed) & (seed <= hi), seed, FALLBACK))
         month = _Profile(fv, terms, fixed)
-        report = fitting.minimize(month.residuals, start, BOX, month.jacobian)
-        evaluations += report.evaluations
-        if best is None or report.objective_value < best[1].objective_value:
-            best = (switch, report, month)
+        solves.append((fitting.minimize(month.residuals, start, BOX, month.jacobian),
+                       switch, month))
 
-    switch, report, month = best
+    report, switch, month = min(solves, key=lambda solve: solve[0].objective_value)
     # a cache hit where the solve's last residual call was at its end point
     lin = month.solve(report.parameter_vector).lin.tolist()
     (trend_a, trend_b), couplings = ((lin[:2], lin[2:]) if fixed is None
@@ -337,9 +336,8 @@ def fit_combined(food: TimeSeries, markets: Sequence[TimeSeries],
     sse = float(np.sum((fv - path.to_array()) ** 2))
     if not np.isfinite(sse):
         raise FitError("the sum of squares at the fitted point overflows")
-    return CombinedFit(params=params,
-                       report=replace(report, evaluations=evaluations,
-                                      objective_value=sse),
+    evaluations = sum(solve[0].evaluations for solve in solves)
+    return CombinedFit(params=params, report=replace(report, evaluations=evaluations),
                        sse=sse, r2=fitting.r_squared(food, path), path=path,
                        switch_date=food.date_at(switch),
                        regime=classify(params.k_sd, params.k_sp),

@@ -166,6 +166,8 @@ def fit_supply_demand(price: TimeSeries, consumption: TimeSeries,
         raise DomainError("the variance of the observed series overflows")
     if np.all(pv == pv[0]) or np.all(qv == qv[0]):
         raise DegenerateInputError("constant observed series")
+    if not np.any(sv[:-1]):
+        raise DegenerateInputError("no surplus before the last value shifts the curves")
     p0_raw, q0_raw = float(pv[0]), float(qv[0])
     scale_p = 1.0 / np.sqrt(var_p * len(pv))
     scale_q = 1.0 / np.sqrt(var_q * len(qv))

@@ -388,6 +388,10 @@ class TestErrorContract:
         ("phase --ksd 0:1:1000000000000000 --ksp 0:1:3", EXIT_USAGE),
         # a name the OS rejects as too long cannot be read
         (f"correlate --a {'a' * 300} --b m60.csv --frequency monthly", EXIT_DATA),
+        # 3 residuals for k_sd, k_sp and the joint trend's a and b
+        ("fit-combined --food m5.csv", EXIT_DATA),
+        # no surplus shifts the curves, so no parameter is identified
+        ("fit-sd --price p10.csv --consumption q10.csv --surplus z10.csv", EXIT_DATA),
     ])
     def test_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                     argv, code):
@@ -398,6 +402,11 @@ class TestErrorContract:
         (tmp_path / "latin1.csv").write_bytes(b"date,value\n2004-01,1\xb5\n")
         (tmp_path / "columns.csv").write_text("month,fao\n2004-01,107.1\n")
         (tmp_path / "somedir").mkdir()
+        write_series_csv(tmp_path / "m5.csv", [105.0, 105.5, 106.2, 105.9, 107.1],
+                         start=(2007, 1))
+        write_annual_csv(tmp_path / "p10.csv", [100.0 + t for t in range(10)])
+        write_annual_csv(tmp_path / "q10.csv", [300.0 + 2 * t for t in range(10)])
+        write_annual_csv(tmp_path / "z10.csv", [0.0] * 10)
         got, out, err = run(capsys, *argv.split())
         assert got == code
         assert out == ""

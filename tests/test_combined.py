@@ -470,8 +470,7 @@ class TestFitCombined:
         terms = combined._model_terms(arrays, 29, 10)
         arrays[0][20] = np.inf
         spoiled_terms = combined._model_terms(arrays, 29, 10)
-        trend = QuadraticTrend(a=105.0, b=0.01, r_squared=1.0)
-        for given in (trend, None):
+        for given in ((105.0, 0.01), None):
             assert combined._linear_seed(np.append(fv[:-1], np.inf), terms,
                                          given) is None
             assert combined._linear_seed(fv, spoiled_terms, given) is None
@@ -516,6 +515,7 @@ class TestFitCombined:
         assert fit.report.evaluations > winner.evaluations
         assert fit.report.converged == winner.converged
         assert fit.report.parameter_vector == winner.parameter_vector
+        assert fit.report.objective_value == winner.objective_value
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(20, 50), st.integers(0, 2**32 - 1))
@@ -535,13 +535,24 @@ class TestFitCombined:
         with pytest.raises(DegenerateInputError, match="too short"):
             fit_combined(monthly([105.0, 105.5, 106.0]), [], switch_candidates=[1])
 
+    def test_food_too_short_to_identify_the_fit_rejected(self):
+        """Five months leave 3 residuals for k_sd, k_sp and the trend's a
+        and b: a fit that would match them exactly, identifying nothing."""
+        food = monthly([105.0, 105.5, 106.2, 105.9, 107.1], start=(2007, 1))
+        with pytest.raises(DegenerateInputError, match="too short"):
+            fit_combined(food, [], switch_candidates=[1, 2, 3])
+
     @pytest.mark.parametrize("switch", [0, 87, 200])
-    def test_switch_without_a_gated_update_rejected(self, switch):
+    def test_switch_without_a_gated_update_rejected(self, monkeypatch, switch):
         """Months below 1, and on 88 months those from 87 on, where no
-        update is gated, so k_sp and the couplings would never act."""
+        update is gated, so k_sp and the couplings would never act; a valid
+        month before the bad one is not solved either."""
+        solves = []
+        monkeypatch.setattr(fitting, "minimize", lambda *args: solves.append(args))
         food, markets = make_food(88, BOUNDED)
         with pytest.raises(ValueError, match="switch candidates"):
-            fit_combined(food, markets, switch_candidates=[switch])
+            fit_combined(food, markets, switch_candidates=[40, switch])
+        assert solves == []
 
     def test_empty_candidates_rejected(self):
         food, markets = make_food(40)

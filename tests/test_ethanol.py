@@ -67,6 +67,7 @@ class TestQuadraticFit:
     @pytest.mark.parametrize("values", [
         [1e300 * (1 + t * t) for t in range(6)],  # the squared deviations
         [1e308, 1e308, -1e308, 0.0],  # a partial sum of the mean
+        [1.7e308, -1.7e308, -1.7e308],  # a deviation, to inf without raising
     ])
     def test_overflow_is_domain_error(self, values):
         with pytest.raises(DomainError, match="overflows"):

@@ -265,6 +265,16 @@ class TestFit:
                               annual([5.0, 6.0, 7.0]),
                               annual([0.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("last", [0.0, 5.0])
+    def test_all_zero_surplus_rejected(self, last):
+        """Only the surplus before the last value shifts the curves; with
+        none, the model price is the first price throughout, and no
+        parameter is identified."""
+        with pytest.raises(DegenerateInputError, match="no surplus"):
+            fit_supply_demand(annual([100.0 + t for t in range(10)]),
+                              annual([300.0 + 2 * t for t in range(10)]),
+                              annual([0.0] * 9 + [last]))
+
     def test_non_positive_price_rejected(self):
         with pytest.raises(DomainError, match="must be positive"):
             fit_supply_demand(annual([10.0, 11.0, 0.0, 12.0, 13.0]),
