@@ -139,7 +139,8 @@ class TimeSeries:
         if not vals:
             raise ValueError("TimeSeries requires at least one value")
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError("TimeSeries values must be finite")
+            i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+            raise ValueError(f"{self.label or 'series'} value {i} is not finite: {vals[i]}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "start", (int(year), int(month)))
 
@@ -303,14 +304,17 @@ def normalize_unit_interval(s: TimeSeries, exclude: Optional[Window] = None) -> 
 
 @record
 class LagScan:
-    """Result of a lagged cross-correlation sweep.
-
-    ``entries`` holds (lag, rho) pairs; lags with fewer than 3 overlapping
-    observations are listed in ``omitted`` instead.
-    """
+    """A lagged cross-correlation sweep over lags 0..max_lag: ``entries``
+    holds (lag, rho) for the one run of lags with at least 3 overlapping
+    observations, and ``omitted`` lists the other lags."""
 
     entries: tuple[tuple[int, float], ...]
-    omitted: tuple[int, ...] = ()
+    max_lag: int
+
+    @property
+    def omitted(self) -> tuple[int, ...]:
+        first, last = (self.entries[0][0], self.entries[-1][0]) if self.entries else (0, -1)
+        return (*range(first), *range(last + 1, self.max_lag + 1))
 
     def to_dict(self) -> dict:
         return {"entries": [{"lag": lag, "rho": rho} for lag, rho in self.entries],
@@ -329,7 +333,6 @@ def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> La
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     entries = []
-    omitted = []
     # past this lag, ys ends before the third value of xs: fewer than 3 overlap
     stop = max(0, min(max_lag + 1, ys.start_ordinal + len(ys) - xs.start_ordinal - 2))
     for lag in range(stop):
@@ -337,10 +340,7 @@ def lagged_cross_correlation(xs: TimeSeries, ys: TimeSeries, max_lag: int) -> La
             ax, ay, _ = align(xs, replace(ys, start=ys.date_at(-lag)))
         except AlignmentError:
             ax = ()
-        if len(ax) < 3:
-            omitted.append(lag)
-        else:
+        if len(ax) >= 3:
             entries.append((lag, _pearson(ax, ay)))
-    omitted.extend(range(stop, max_lag + 1))
-    return LagScan(tuple(entries), tuple(omitted))
+    return LagScan(tuple(entries), max_lag)
 

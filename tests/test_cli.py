@@ -357,6 +357,16 @@ class TestCorrelateAndLagscan:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "f5df41f324050e6f51e3987416ec5d90a536ca689a03d7e2db14d4a4572643fd"
 
+    def test_lagscan_csv_lists_no_omitted_lag(self, capsys, tmp_path):
+        # m60 overlaps itself in 3 or more months up to lag 57; the CSV
+        # holds only those, so a max-lag past memory costs nothing more
+        write_series_csv(tmp_path / "m60.csv", 100.0 + np.arange(60.0))
+        series = str(tmp_path / "m60.csv")
+        outputs = [run(capsys, "lagscan", "--a", series, "--b", series,
+                       "--max-lag", str(max_lag)) for max_lag in (57, 10**15)]
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0] == EXIT_OK and outputs[0][1].count("\n") == 59
+
 
 class TestErrorContract:
     @pytest.mark.parametrize("argv, code", [
@@ -417,13 +427,23 @@ class TestErrorContract:
 
     def test_lag_count_past_memory_is_memory_error(self, capsys, tmp_path):
         # the lags that can overlap are walked; listing the 10**15 omitted
-        # ones cannot be allocated
+        # ones in JSON cannot be allocated
         write_series_csv(tmp_path / "m60.csv", 100.0 + np.arange(60.0))
         series = str(tmp_path / "m60.csv")
         code, out, err = run(capsys, "lagscan", "--a", series, "--b", series,
-                             "--max-lag", str(10**15))
+                             "--max-lag", str(10**15), "--format", "json")
         assert (code, out) == (EXIT_USAGE, "")
         assert err.count("\n") == 1 and json.loads(err)["type"] == "MemoryError"
+
+    @pytest.mark.parametrize("p0, error", [
+        ("1", "price value 1422 is not finite: inf"),  # overflows
+        ("inf", "price value 0 is not finite: inf"),
+    ])
+    def test_non_finite_value_is_named(self, capsys, p0, error):
+        code, out, err = run(capsys, *"simulate-spec --ksd 0.1 --ksp 1.9 --kc 1 --p1 2 "
+                                      "--steps 10000 --p0".split(), p0)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert json.loads(err) == {"error": error, "type": "ValueError"}
 
     @pytest.mark.parametrize("argv", [
         "correlate --a x --b y --format csv",

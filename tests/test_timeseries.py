@@ -20,8 +20,8 @@ class TestTimeSeries:
 
     def test_rejects_nan_and_inf(self):
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                monthly([1.0, bad])
+            with pytest.raises(ValueError, match=f"^series value 1 is not finite: {bad}$"):
+                monthly([1.0, bad, bad])
 
     def test_calendar_roundtrip_monthly(self):
         s = monthly(range(30), start=(2004, 11))
@@ -355,8 +355,7 @@ def _records():
                       "values": (1.0, 2.0), "label": ""},
          {"label": "price"}, [{"values": (1.0, math.nan)}, {"start": (2004, 13)}],
          {"label": ""}),
-        (LagScan, {"entries": ((0, 0.5),), "omitted": ()}, {"omitted": (1,)},
-         [], {"omitted": ()}),
+        (LagScan, {"entries": ((0, 0.5),), "max_lag": 0}, {"max_lag": 1}, [], {}),
         (QuadraticTrend, {"a": 1.0, "b": 0.5, "r_squared": 0.9},
          {"b": 0.25}, [{"r_squared": 1.5}], {}),
         (TrendComparison, {"trend_a": trend, "trend_b": trend,
